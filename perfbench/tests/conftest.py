@@ -1,0 +1,7 @@
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT / "perfbench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
