@@ -1,22 +1,27 @@
 """Host-speed reference: a fixed pure-Python loop timed during a run.
 
-On a shared 2-vCPU KVM guest (Intel Xeon, 2.1 GHz) the speed of a
-single-threaded Python process switches, from second to second and
-sometimes for minutes, between two levels about 1.9x apart, and the
-share of a run spent at the faster level ranged from 6% to 100%.
-Every host time of a run moves with that share: ten runs of the same
-code spread by 0.2-0.5 (quartile distance over median). The loop below
-uses none of the program's code, so a change to the program cannot
-move it. Each in-process workload times it between its units of work,
-and its in-process host times are reported at :data:`REFERENCE_MS`,
-the loop's time at the slower level:
+On a shared 2-vCPU KVM guest (Intel Xeon) each vCPU switches on its
+own, from second to second and sometimes for minutes, between two
+speed levels about 1.9x apart for this loop, and the share of a run
+spent at the faster level ranged from 0% to 93%. Every raw host time
+of a run moves with that share: ten runs of the same code spread by
+0.2-0.5 (quartile distance over median). The loop uses none of the
+program's code, so a change to the program cannot move it.
 
-    reported seconds = measured seconds * REFERENCE_MS / loop mean
+A :class:`Probe` times the loop (:data:`PROBE` iterations, scaled to
+:data:`LOOP`) at most every :data:`PROBE_EVERY_S` seconds inside a
+unit of work, and a time measured alongside probes is reported at
+:data:`REFERENCE_MS`, the loop's time at the slower level:
 
-with the loop mean taken over that workload's samples of the run
-(samples slower than twice their median, which are hiccups rather than
-a level, are left out). The raw values and every loop sample are kept
-in the result file.
+    reported seconds = measured seconds
+                       * (REFERENCE_MS / probe mean) ** SPEED_EXPONENT
+
+with the mean leaving out probes slower than twice the median, which
+are hiccups rather than a level. The program gains less than the loop
+from the faster level: between the two levels the loop's time changes
+by 1.8-1.95x, a simulation's by 1.5-1.55x and a warm sweep pass's by
+1.7x, so the program's time goes as the loop's to the power 0.7-0.85.
+The raw values and every probe are kept in the result file.
 """
 
 from __future__ import annotations
@@ -29,6 +34,13 @@ LOOP = 40_000
 #: The loop's time at the host's slower level, in milliseconds, on the
 #: 2-vCPU KVM guest the bounds were set on (Python 3.11.7).
 REFERENCE_MS = 22.5
+#: How the program's host time scales with the loop's across the
+#: host's speed levels (see above).
+SPEED_EXPONENT = 0.75
+#: Iterations of a short probe (3-6 ms on that guest).
+PROBE = 10_000
+#: Least time between two probes of one :class:`Probe`.
+PROBE_EVERY_S = 0.1
 
 
 def reference_loop(count: int = LOOP) -> int:
@@ -46,24 +58,62 @@ def reference_loop(count: int = LOOP) -> int:
     return acc
 
 
+def timed_loop(count: int) -> tuple[float, float]:
+    """Run the loop ``count`` times: ``(seconds taken, seconds scaled to
+    LOOP iterations)``."""
+    started = time.perf_counter()
+    reference_loop(count)
+    elapsed = time.perf_counter() - started
+    return elapsed, elapsed * LOOP / count
+
+
+def mean_ms(values: list[float]) -> float:
+    """Mean of loop samples (seconds) in milliseconds, leaving out
+    hiccups: samples slower than twice the median."""
+    limit = 2 * statistics.median(values)
+    return statistics.fmean(v for v in values if v <= limit) * 1e3
+
+
+def to_reference(values: list[float]) -> float:
+    """Factor from host seconds measured alongside loop ``values`` to
+    seconds at the reference host speed."""
+    return (REFERENCE_MS / mean_ms(values)) ** SPEED_EXPONENT
+
+
 class Reference:
     """Reference-loop samples of one run, by workload."""
 
     def __init__(self):
         self.samples: dict[str, list[float]] = {}
 
-    def sample(self, workload: str) -> None:
-        started = time.perf_counter()
-        reference_loop()
-        elapsed = time.perf_counter() - started
-        self.samples.setdefault(workload, []).append(elapsed)
+    def add(self, workload: str, values: list[float]) -> None:
+        """Record a :class:`Probe`'s samples."""
+        self.samples.setdefault(workload, []).extend(values)
 
     def milliseconds(self, workload: str) -> float:
         """Mean loop time of ``workload``'s samples, hiccups left out."""
-        values = self.samples[workload]
-        limit = 2 * statistics.median(values)
-        return statistics.fmean(v for v in values if v <= limit) * 1e3
+        return mean_ms(self.samples[workload])
 
-    def to_reference(self, workload: str) -> float:
-        """Factor from measured host seconds to reference seconds."""
-        return REFERENCE_MS / self.milliseconds(workload)
+
+class Probe:
+    """Short loop samples taken inside one unit of work.
+
+    :meth:`tick` runs a probe when :data:`PROBE_EVERY_S` has passed since
+    the last one; :meth:`take` runs one now. ``spent`` is the time the
+    probes took, to be left out of the unit's wall time."""
+
+    def __init__(self, every: float = PROBE_EVERY_S):
+        self.every = every
+        self.samples: list[float] = []
+        self.spent = 0.0
+        self.last = time.perf_counter()
+
+    def take(self) -> None:
+        elapsed, scaled = timed_loop(PROBE)
+        self.samples.append(scaled)
+        self.spent += elapsed
+        self.last = time.perf_counter()
+
+    def tick(self) -> None:
+        if time.perf_counter() - self.last >= self.every:
+            self.take()

@@ -249,8 +249,8 @@ def for_sweep(result, tracer: Tracer) -> dict:
         sum(span.duration for span in replays) / len(pairs))
     out["trace.overhead"] = overhead(
         [cold.wall + warm.wall for cold, warm in pairs],
-        [cold.wall + warm.wall
-         for cold, warm in zip(result.cold, result.warm)])
+        [median([cold.wall for cold in result.cold])
+         + median([warm.wall for warm in result.warm])])
     out["trace.unattributed"] = unattributed(index, "sweep.pair")
     out["trace.spans"] = len(index.spans)
     return out

@@ -27,7 +27,7 @@ from repro.arch import GPUConfig
 from repro.cache import ResultCache, swap_cache
 from repro.sim import GPU
 
-from . import instrument
+from . import calibrate, instrument
 from .checks import Tally, stats_fields
 from .stats import median
 from .tracing import maybe_span
@@ -41,8 +41,9 @@ KERNELS = (
 SHRINK_KERNELS = ("scalarprod", "backprop", "blackscholes", "hotspot")
 SHRINK_FRACTION = 0.15
 MODES = ("baseline", "flags", "redefine", "shrink")
-#: Cases between two samples of the host-speed reference loop.
-REFERENCE_EVERY = 7
+#: Least time between two host-speed probes in a measured pass; a case
+#: is corrected by the probes just before and just after it.
+PROBE_EVERY_S = 0.05
 
 #: Summed per mode over a pass; the ``model.*`` per-layer numbers.
 MODEL_FIELDS = (
@@ -123,37 +124,51 @@ class Pass:
     #: Host seconds and simulated cycles of each case, by ``Case.key``.
     seconds: dict = field(default_factory=dict)
     cycles: dict = field(default_factory=dict)
+    #: Host seconds of each case at the reference host speed (measured
+    #: passes only).
+    reference_seconds: dict = field(default_factory=dict)
     model: dict = field(default_factory=lambda: {
         mode: dict.fromkeys(MODEL_FIELDS, 0) for mode in MODES
     })
 
 
-def cycles_per_s(passes: list[Pass], mode: str) -> float:
+def cycles_per_s(passes: list[Pass], mode: str,
+                 times: str = "seconds") -> float:
     """Simulated cycles per host second of ``mode`` over ``passes``: the
     mode's cycles divided by the sum over its cases of each case's
     median time across passes, so a slow moment spoils one case's
-    sample, not the whole pass."""
-    cases = {key for one in passes for key in one.seconds
+    sample, not the whole pass. ``times`` names the per-case times:
+    ``seconds`` as measured or ``reference_seconds``."""
+    cases = {key for one in passes for key in getattr(one, times)
              if key.endswith("/" + mode)}
     cycles = seconds = 0.0
     for key in cases:
-        times = [one.seconds[key] for one in passes if key in one.seconds]
+        samples = [getattr(one, times)[key] for one in passes
+                   if key in getattr(one, times)]
         cycles += next(one.cycles[key] for one in passes
                        if key in one.cycles)
-        seconds += median(times)
+        seconds += median(samples)
     return cycles / seconds if seconds else 0.0
 
 
 def one_pass(cases: list[Case], tally: Tally, expected: dict,
              reference=None) -> Pass:
+    """Simulate every case once. With ``reference``, probe the host
+    speed between cases (the probes join ``reference``) and correct
+    each case's time by the probes around it."""
     result = Pass()
+    probe = calibrate.Probe(PROBE_EVERY_S) if reference is not None else None
+    # Index of the last probe taken before each case.
+    before: dict[str, int] = {}
+    spent = 0.0
+    if probe is not None:
+        probe.take()
+        spent = probe.spent
     started = time.perf_counter()
-    sampling = 0.0
-    for index, case in enumerate(cases):
-        if reference is not None and index % REFERENCE_EVERY == 0:
-            mark = time.perf_counter()
-            reference.sample("modes")
-            sampling += time.perf_counter() - mark
+    for case in cases:
+        if probe is not None:
+            probe.tick()
+            before[case.key] = len(probe.samples) - 1
         try:
             seconds, stats = simulate(case)
         except Exception as exc:
@@ -167,7 +182,18 @@ def one_pass(cases: list[Case], tally: Tally, expected: dict,
         totals = result.model[case.mode]
         for name in MODEL_FIELDS:
             totals[name] += getattr(stats, name)
-    result.wall = time.perf_counter() - started - sampling
+    result.wall = time.perf_counter() - started
+    if probe is not None:
+        result.wall -= probe.spent - spent
+        probe.take()
+        for key, index in before.items():
+            if key in result.seconds:
+                # The next probe after a case's own is the first one
+                # taken after the case ended.
+                around = probe.samples[index:index + 2]
+                result.reference_seconds[key] = (
+                    result.seconds[key] * calibrate.to_reference(around))
+        reference.add("modes", probe.samples)
     return result
 
 
@@ -189,9 +215,8 @@ def run(rng, tally: Tally, expected: dict, budget: float,
     """Set up ``setups`` times, then make passes for ``budget`` seconds
     (at least ``min_passes``). With a tracer, the last set-up and a
     second batch of passes are traced; the untraced passes give the
-    end-to-end numbers and the tracing overhead. ``reference`` is
-    sampled every :data:`REFERENCE_EVERY` cases of the measured
-    passes."""
+    end-to-end numbers and the tracing overhead. The untraced passes
+    probe the host speed into ``reference``."""
     out = ModesResult(order=kernel_order(rng))
     previous = swap_cache(ResultCache(enabled=False))
     try:
@@ -216,7 +241,7 @@ def run(rng, tally: Tally, expected: dict, budget: float,
             patcher = instrument.install(tracer)
             try:
                 out.traced = _passes(cases, tally, expected, budget,
-                                     min_passes, tracer, reference)
+                                     min_passes, tracer)
             finally:
                 patcher.restore()
     finally:

@@ -13,6 +13,8 @@ seeded open-loop generator drives it over at most two connections:
 * the **ladder** phases send the same zipf mix, now all cached, at
   each rate in :data:`LADDER_RATES`; the highest rate whose tail meets
   :data:`LADDER_LIMIT_MS` without a growing backlog is the capacity.
+  Only the first :data:`LADDER_CYCLES` cycles of a run climb it: the
+  capacity is steady from cycle to cycle, the nominal tail is not.
 
 Every latency counts from the request's due time, so a stall delays
 the requests behind it as a user would see; the generator's own
@@ -35,6 +37,7 @@ from repro.service import ServiceClient, ServiceError
 from repro.service.client import AsyncServiceClient
 from repro.service.protocol import PROTOCOL_VERSION
 
+from . import calibrate
 from .checks import Tally
 from .procs import Children, DaemonFailed, group_members, peak_rss_mb
 from .stats import median, tail
@@ -68,11 +71,16 @@ NOMINAL_REQUESTS = 120
 LADDER_RATES = (200.0, 300.0, 3000.0)
 LADDER_REQUESTS = 120
 LADDER_LIMIT_MS = 100.0
+#: Cycles of a run that climb the ladder after the nominal phase.
+LADDER_CYCLES = 2
 #: A ladder rung whose generator queue holds more than this many due
 #: requests in its last quarter has a growing backlog.
 BACKLOG_LIMIT = 16
 REQUEST_TIMEOUT_S = 30.0
 READY_TIMEOUT_S = 60.0
+#: A nominal-phase probe of the host speed runs this long before a
+#: request is due, and only while no request is in flight.
+PROBE_GAP_S = 0.012
 
 
 def request(flow: str, workload: str, request_id: int) -> dict:
@@ -149,6 +157,10 @@ class Phase:
     wall: float
     #: Successful responses by schedule index.
     responses: dict = field(default_factory=dict)
+    #: Reference-loop samples taken while the phase was idle (nominal
+    #: phases only): on the pool worker's vCPU, and on the others.
+    probes: list = field(default_factory=list)
+    other_probes: list = field(default_factory=list)
 
     def latencies(self) -> list[float]:
         return [sample.done for sample in self.samples]
@@ -180,7 +192,10 @@ class Phase:
                 "meets_limit": self.meets_limit()}
 
 
-async def _drive(address: str, schedule: list[tuple], tracer) -> Phase:
+async def _drive(address: str, schedule: list[tuple], tracer,
+                 probe=None) -> Phase:
+    """Send ``schedule`` open-loop. ``probe`` (:class:`PhaseProbes`)
+    samples the host speed in idle gaps, so no request waits for it."""
     loop = asyncio.get_running_loop()
     clients = [await AsyncServiceClient.connect(address)
                for _ in range(CONNECTIONS)]
@@ -189,6 +204,7 @@ async def _drive(address: str, schedule: list[tuple], tracer) -> Phase:
     responses: dict[int, dict] = {}
     lateness: list[float] = []
     backlog: list[int] = []
+    in_flight = [0]
     origin = loop.time() + 0.02
 
     async def sender(slot: int) -> None:
@@ -199,6 +215,7 @@ async def _drive(address: str, schedule: list[tuple], tracer) -> Phase:
             index, due, flow, workload = item
             sent = loop.time()
             served = error = None
+            in_flight[0] += 1
             with maybe_span(tracer, "service.request", request=index):
                 try:
                     response = await asyncio.wait_for(
@@ -212,6 +229,7 @@ async def _drive(address: str, schedule: list[tuple], tracer) -> Phase:
                     await clients[slot].close()
                     clients[slot] = await AsyncServiceClient.connect(
                         address)
+            in_flight[0] -= 1
             samples[index] = Sample(flow, workload, sent - due,
                                     loop.time() - due, served, error)
 
@@ -220,6 +238,12 @@ async def _drive(address: str, schedule: list[tuple], tracer) -> Phase:
     try:
         for index, (offset, flow, workload) in enumerate(schedule):
             due = origin + offset
+            if probe is not None:
+                early = due - PROBE_GAP_S - loop.time()
+                if early > 0:
+                    await asyncio.sleep(early)
+                    if not in_flight[0] and queue.empty():
+                        probe.tick()
             delay = due - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
@@ -234,8 +258,12 @@ async def _drive(address: str, schedule: list[tuple], tracer) -> Phase:
             task.cancel()
         for client in clients:
             await client.close()
-    return Phase(0.0, [s for s in samples if s is not None], lateness,
-                 backlog, loop.time() - origin, responses)
+    phase = Phase(0.0, [s for s in samples if s is not None], lateness,
+                  backlog, loop.time() - origin, responses)
+    if probe is not None:
+        phase.probes = probe.worker.samples
+        phase.other_probes = probe.other.samples
+    return phase
 
 
 @dataclass
@@ -250,10 +278,61 @@ class Cycle:
     schedules: list
 
     @property
-    def max_rps(self) -> float:
-        """Achieved rate at the highest rung that meets the limit."""
+    def max_rps(self) -> float | None:
+        """Achieved rate at the highest rung that meets the limit;
+        ``None`` for a cycle that did not climb the ladder."""
+        if not self.ladder:
+            return None
         passing = [phase for phase in self.ladder if phase.meets_limit()]
         return passing[-1].achieved_rps if passing else 0.0
+
+
+class PhaseProbes:
+    """Host-speed probes of a nominal phase, taken in its idle gaps and
+    alternating between the vCPU the pool worker is pinned to (where
+    misses run) and the other vCPUs (where the daemon answers hits).
+    ``worker_cpu`` ``None`` takes every probe where the client is."""
+
+    def __init__(self, worker_cpu: int | None):
+        self.worker = calibrate.Probe()
+        self.other = calibrate.Probe()
+        cpus = os.sched_getaffinity(0)
+        self.cpus = (
+            (None, None) if worker_cpu is None
+            else ({worker_cpu}, cpus - {worker_cpu})
+        )
+
+    def tick(self) -> None:
+        # Alternate: the probe that waited longest goes next.
+        turn = 0 if self.worker.last <= self.other.last else 1
+        probe, cpus = (self.worker, self.other)[turn], self.cpus[turn]
+        if time.perf_counter() - probe.last < probe.every:
+            return
+        if cpus is None:
+            return probe.take()
+        home = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, cpus)
+        try:
+            probe.take()
+        finally:
+            os.sched_setaffinity(0, home)
+
+
+def pin_workers(pid: int) -> int | None:
+    """Pin every member of the daemon's group but the daemon itself
+    (its pool worker) to the last vCPU, which is returned; ``None`` on
+    a single vCPU. Misses then run on a known vCPU, whose speed the
+    nominal phase probes while it is idle."""
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        return None
+    for member in group_members(pid):
+        if member != pid:
+            try:
+                os.sched_setaffinity(member, {cpus[-1]})
+            except OSError:
+                pass  # it exited; the group kill reaps the rest
+    return cpus[-1]
 
 
 @dataclass
@@ -294,17 +373,16 @@ def _shutdown(address: str) -> None:
 
 
 def one_cycle(root, workdir, children: Children, tally: Tally,
-              expected: dict, rng, tracer=None, reference=None) -> Cycle:
-    """Start a daemon, warm it, run the nominal phase and the ladder,
-    read its counters, stop it. ``reference`` is sampled before the
-    spawn and before every phase."""
+              expected: dict, rng, tracer=None, reference=None,
+              ladder: bool = True) -> Cycle:
+    """Start a daemon, warm it, run the nominal phase and (with
+    ``ladder``) the ladder, read its counters, stop it. The nominal
+    phase's host-speed probes join ``reference``."""
     directory = tempfile.mkdtemp(prefix="serve-", dir=workdir)
     address = os.path.relpath(os.path.join(directory, "d.sock"), root)
     log = open(os.path.join(directory, "daemon.log"), "wb")
     proc = None
     try:
-        if reference is not None:
-            reference.sample("serve")
         started = time.perf_counter()
         proc = children.spawn(
             [sys.executable, "-m", "repro.service.daemon", "--jobs", "1",
@@ -325,17 +403,20 @@ def one_cycle(root, workdir, children: Children, tally: Tally,
                     continue
                 _verify(tally, expected, flow, workload, response)
         warmup_s = time.perf_counter() - started
+        worker_cpu = pin_workers(proc.pid)
+        rates = (NOMINAL_RATE,) + (LADDER_RATES if ladder else ())
         schedules = [nominal_schedule(rng)] + [
-            ladder_schedule(rng, rate) for rate in LADDER_RATES
+            ladder_schedule(rng, rate) for rate in rates[1:]
         ]
         phases = []
-        for rate, schedule in zip((NOMINAL_RATE,) + LADDER_RATES,
-                                  schedules):
-            if reference is not None:
-                reference.sample("serve")
+        for rate, schedule in zip(rates, schedules):
+            probe = PhaseProbes(worker_cpu) if not phases else None
             with maybe_span(tracer, f"serve.rate.{rate:g}"):
-                phase = asyncio.run(_drive(address, schedule, tracer))
+                phase = asyncio.run(_drive(address, schedule, tracer,
+                                           probe))
             phase.rate = rate
+            if reference is not None:
+                reference.add("serve", phase.probes + phase.other_probes)
             for sample in phase.samples:
                 if sample.error is not None:
                     tally.fail(f"{flow_key(sample.flow, sample.workload)}: "
@@ -397,13 +478,16 @@ def _verify(tally: Tally, expected: dict, flow: str, workload: str,
 def run(root, workdir, children: Children, rng, tally: Tally,
         expected: dict, budget: float, min_cycles: int,
         tracer=None, reference=None) -> ServeResult:
-    """Cycles for ``budget`` seconds (at least ``min_cycles``); with a
-    tracer, one more traced cycle."""
+    """Cycles for ``budget`` seconds (at least ``min_cycles``), the
+    first :data:`LADDER_CYCLES` of them with the ladder; with a tracer,
+    one more traced cycle with the ladder."""
     out = ServeResult()
     deadline = time.perf_counter() + budget
     while len(out.cycles) < min_cycles or time.perf_counter() < deadline:
-        out.cycles.append(one_cycle(root, workdir, children, tally,
-                                    expected, rng, reference=reference))
+        out.cycles.append(one_cycle(
+            root, workdir, children, tally, expected, rng,
+            reference=reference,
+            ladder=len(out.cycles) < LADDER_CYCLES))
     if tracer is not None:
         with maybe_span(tracer, "serve.cycle"):
             out.traced.append(one_cycle(root, workdir, children, tally,
@@ -411,24 +495,41 @@ def run(root, workdir, children: Children, rng, tally: Tally,
     return out
 
 
+def _factor(probes: list[float]) -> float:
+    """To the reference host speed; 1 for a phase without probes."""
+    return calibrate.to_reference(probes) if probes else 1.0
+
+
 def summary(cycles: list[Cycle]) -> dict:
-    """Medians over cycles of the per-cycle end-to-end numbers."""
-    p50s, tails = [], []
+    """Medians over cycles of the per-cycle end-to-end numbers (the
+    capacity over the cycles that climbed the ladder). ``p50_ms`` and
+    ``tail_ms`` are at the reference host speed: each cycle's tail (its
+    misses) by the probes of the pool worker's vCPU in its nominal
+    phase, its median (hits) by the probes of every vCPU. ``raw_*`` are
+    as measured."""
+    p50s, tails, raw_p50s, raw_tails = [], [], [], []
     percentile = count = None
     for cycle in cycles:
-        latencies = cycle.nominal.latencies()
-        p50s.append(median(latencies))
+        nominal = cycle.nominal
+        latencies = nominal.latencies()
+        raw_p50s.append(median(latencies))
+        p50s.append(raw_p50s[-1] * _factor(nominal.probes
+                                           + nominal.other_probes))
         found = tail(latencies)
         if found is not None:
-            tails.append(found[0])
+            raw_tails.append(found[0])
+            tails.append(found[0] * _factor(nominal.probes))
             percentile, count = found[1], found[2]
     return {
         "p50_ms": median(p50s) * 1e3,
+        "raw_p50_ms": median(raw_p50s) * 1e3,
         "tail_ms": median(tails) * 1e3 if tails else 0.0,
+        "raw_tail_ms": median(raw_tails) * 1e3 if raw_tails else 0.0,
         "tail_percentile": percentile,
         "tail_samples": count,
-        "max_rps": median([cycle.max_rps for cycle in cycles]),
+        "max_rps": median([cycle.max_rps for cycle in cycles
+                           if cycle.max_rps is not None]),
         "ready_s": median([cycle.ready_s for cycle in cycles]),
         "ladder": [[phase.describe() for phase in cycle.ladder]
-                   for cycle in cycles],
+                   for cycle in cycles if cycle.ladder],
     }

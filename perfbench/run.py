@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload modes --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload modes --seed 1 --seconds 8 --trace 0
 
 Workloads are ``modes``, ``sweep`` and ``serve`` (see ``README.md``
 beside this file). The named workload is measured for ``--seconds``;
@@ -50,9 +50,11 @@ END_TO_END = (
 #: Set-ups of the named workload whose median is ``setup_s``.
 SETUPS = 3
 #: Minimum work of the named workload, and of each other workload's
-#: short pass.
-FOCUS_MINIMUM = {"modes": 5, "sweep": 3, "serve": 3}
-SIDE_MINIMUM = {"modes": 6, "sweep": 2, "serve": 2}
+#: short pass: modes passes, sweep cold passes (each followed by
+#: several warm ones) and serve cycles. A serve figure is a median over
+#: cycles, so every run makes at least four.
+FOCUS_MINIMUM = {"modes": 6, "sweep": 2, "serve": 4}
+SIDE_MINIMUM = {"modes": 6, "sweep": 2, "serve": 4}
 
 
 def parse_args(argv):
@@ -141,7 +143,7 @@ class Run:
 
 
 def end_to_end(run: Run, results: dict, import_s: float) -> dict:
-    from harness import modes, serve
+    from harness import calibrate, modes, serve
     from harness.stats import median
 
     simulated, swept, served = (results[name] for name in WORKLOADS)
@@ -154,28 +156,34 @@ def end_to_end(run: Run, results: dict, import_s: float) -> dict:
         samples = [c.ready_s + c.warmup_s for c in served.cycles]
     latency = serve.summary(served.cycles)
     own_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    values = {
+    raw = {
         "setup_s": import_s + median(samples),
         "peak_rss_mb": own_mb + max(c.peak_rss_mb for c in served.cycles),
         "sweep_cold_s": median([one.wall for one in swept.cold]),
         "sweep_warm_s": median([one.wall for one in swept.warm]),
-        "serve_p50_ms": latency["p50_ms"],
-        "serve_tail_ms": latency["tail_ms"],
+        "serve_p50_ms": latency["raw_p50_ms"],
+        "serve_tail_ms": latency["raw_tail_ms"],
         "serve_max_rps": latency["max_rps"],
     }
     for mode in MODES:
-        values[f"sim_cycles_per_s.{mode}"] = modes.cycles_per_s(
+        raw[f"sim_cycles_per_s.{mode}"] = modes.cycles_per_s(
             simulated.passes, mode)
-    raw = dict(values)
-    # In-process host times at the reference host speed (see
-    # harness/calibrate.py). Serve latencies span three processes on
-    # both cores, which the loop tracked poorly; they stay raw, as do
-    # set-up time, memory and rates.
+    # Host times at the reference host speed (see
+    # harness/calibrate.py): each modes case by the probes around it,
+    # each sweep pass by the probes taken inside it, each serve cycle's
+    # latencies by probes taken in its idle gaps, set-up time by every
+    # sample of the named workload. Memory and rates stay raw.
+    values = dict(raw)
+    values["setup_s"] *= calibrate.to_reference(run.reference.samples[focus])
     for mode in MODES:
-        values[f"sim_cycles_per_s.{mode}"] /= run.reference.to_reference(
-            "modes")
-    for name in ("sweep_cold_s", "sweep_warm_s"):
-        values[name] *= run.reference.to_reference("sweep")
+        values[f"sim_cycles_per_s.{mode}"] = modes.cycles_per_s(
+            simulated.passes, mode, "reference_seconds")
+    values["sweep_cold_s"] = median([one.reference_wall
+                                     for one in swept.cold])
+    values["sweep_warm_s"] = median([one.reference_wall
+                                     for one in swept.warm])
+    values["serve_p50_ms"] = latency["p50_ms"]
+    values["serve_tail_ms"] = latency["tail_ms"]
     run.report.update(
         raw_metrics=raw,
         reference_ms={name: run.reference.milliseconds(name)

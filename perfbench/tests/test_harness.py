@@ -196,6 +196,57 @@ def test_expected_files_cover_every_case():
     assert set(checks.load("sweep")) == set(sweep.EXPERIMENTS)
 
 
+# ------------------------------------------------------------ host speed
+def test_reference_correction_follows_the_speed_exponent():
+    from harness import calibrate
+
+    slow = calibrate.REFERENCE_MS / 1e3
+    assert calibrate.to_reference([slow, slow]) == pytest.approx(1.0)
+    # Twice as fast, plus one hiccup (over twice the median): left out.
+    fast = [slow / 2] * 4 + [slow * 10]
+    assert calibrate.to_reference(fast) == pytest.approx(
+        2 ** calibrate.SPEED_EXPONENT)
+
+
+def test_probe_samples_no_more_often_than_asked():
+    from harness import calibrate
+
+    probe = calibrate.Probe(every=60.0)
+    probe.tick()
+    assert probe.samples == []
+    probe.take()
+    probe.tick()
+    assert len(probe.samples) == 1 and probe.spent > 0
+
+
+# ------------------------------------------------------------ serve figures
+def _phase(rate, latencies, wall=1.0):
+    from harness import serve
+
+    samples = [serve.Sample("baseline", "nn", 0.0, value, "cache", None)
+               for value in latencies]
+    return serve.Phase(rate, samples, [0.0] * len(samples),
+                       [0] * len(samples), wall)
+
+
+def test_capacity_comes_only_from_cycles_that_climbed_the_ladder():
+    from harness import serve
+
+    nominal = _phase(50.0, [0.001 * (i + 1) for i in range(120)])
+    fast, slow = _phase(300.0, [0.002] * 120), _phase(3000.0, [0.5] * 120)
+    cycles = [
+        serve.Cycle(0.1, 0.2, nominal, [fast, slow], {}, 1.0, []),
+        serve.Cycle(0.1, 0.2, nominal, [], {}, 1.0, []),
+        serve.Cycle(0.1, 0.2, nominal, [], {}, 1.0, []),
+    ]
+    assert [cycle.max_rps for cycle in cycles] == [120.0, None, None]
+    figures = serve.summary(cycles)
+    assert figures["max_rps"] == 120.0
+    assert len(figures["ladder"]) == 1
+    assert figures["tail_ms"] == pytest.approx(110.0)
+    assert figures["tail_percentile"] == pytest.approx(100.0 * 110 / 120)
+
+
 # ------------------------------------------------------------ processes
 def _plant_group():
     """A child in its own session that forks a grandchild; both sleep."""
