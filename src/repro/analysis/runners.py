@@ -229,8 +229,7 @@ def run_sweep(
     Content-identical specs are deduplicated before dispatch: the
     unique set runs once (through the pool when ``jobs > 1``) and the
     shared result object is fanned back to every position that asked
-    for it. With ``jobs > 1`` each worker also exports its fresh cache
-    entries, which are absorbed into this process's cache.
+    for it (see :func:`run_specs` for the fan-out).
     """
     work = list(specs)
     # Map each input position to a unique-spec slot. Unfingerprintable
@@ -250,13 +249,24 @@ def run_sweep(
             unique.append(spec)
         slot_of.append(slot)
 
-    if jobs > 1 and len(unique) > 1:
+    results = run_specs(unique, jobs=jobs)
+    return [results[slot] for slot in slot_of]
+
+
+def run_specs(specs: list[tuple], jobs: int = 1) -> list[object]:
+    """Run flow specs exactly as given, optionally across processes.
+
+    No deduplication: callers that already hold a unique set (the
+    sweep planner) skip :func:`run_sweep`'s fingerprinting. Results
+    come back in input order. With ``jobs > 1`` each worker exports
+    its fresh cache entries, which are absorbed into this process's
+    cache.
+    """
+    if jobs > 1 and len(specs) > 1:
         cache = get_cache()
-        outcomes = parallel_map(run_flow_exporting, unique, jobs)
         results = []
-        for result, exports in outcomes:
+        for result, exports in parallel_map(run_flow_exporting, specs, jobs):
             cache.absorb(exports)
             results.append(result)
-    else:
-        results = [run_flow(spec) for spec in unique]
-    return [results[slot] for slot in slot_of]
+        return results
+    return [run_flow(spec) for spec in specs]

@@ -14,25 +14,57 @@ A cache key must identify *everything* a result depends on:
   diagnostics differ between them, and a cached result must round-trip
   *every* field of a fresh run under the same flags.
 
-Fingerprints are SHA-256 digests of a canonical, recursively
-flattened representation. Canonicalization is strict: an object kind
-it does not recognize raises :class:`TypeError` instead of hashing
-something unstable (``repr`` of an arbitrary object includes its
-memory address).
+Fingerprints are SHA-256 digests of a compact canonical form
+(encoding v2):
+
+* ``None``, ``bool``, ``int``, ``float``, ``str`` and ``bytes`` values
+  are their own form;
+* lists and tuples become a list of their items' forms, so both key
+  alike;
+* every other kind becomes a tuple whose first item is a tag naming
+  the kind: ``("Name:digest", *field values)`` for a dataclass, where
+  the digest covers the field names, so adding or reordering fields
+  invalidates old keys; ``("enum Name", value)`` for an enum member;
+  ``("kernel", num_regs, num_preds, shared_bytes, *instructions)``
+  for a kernel; ``("map", k1, v1, ...)`` and ``("set", ...)`` with
+  entries in serialized order, so insertion order does not matter.
+
+The form is serialized with :mod:`marshal` format 2, which tells every
+primitive type apart (``True``/``1``/``1.0``, ``0.0``/``-0.0``,
+``str``/``bytes``) and writes no back-references, so equal forms give
+equal bytes whatever objects they share.
+
+Each class's encoder is resolved once, on first sight, from the class
+alone; encoding then dispatches on ``type(value)``. Canonicalization
+is strict: an object kind it does not recognize raises
+:class:`TypeError` at any nesting depth, instead of hashing something
+unstable (``repr`` of an arbitrary object includes its memory
+address).
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 import os
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from operator import attrgetter
+from typing import Callable
 
 from repro.isa.kernel import Kernel
 
-#: Bump whenever the layout or semantics of cached payloads change;
-#: part of every key, so old cache directories simply stop matching.
-CACHE_SCHEMA_VERSION = 1
+#: Bump whenever the layout or semantics of cached payloads, or the
+#: key encoding, change; part of every key, so old cache directories
+#: simply stop matching.
+CACHE_SCHEMA_VERSION = 2
+
+#: The last marshal format without back-references (version 3 added
+#: them, which makes the bytes depend on object sharing).
+_MARSHAL_VERSION = 2
+
+#: Kinds that are their own canonical form.
+_ATOMS = frozenset({type(None), bool, int, float, str, bytes})
 
 _FALSY = ("0", "off", "false", "no")
 
@@ -41,64 +73,116 @@ def _flag(name: str, default: str = "1") -> bool:
     return os.environ.get(name, default).strip().lower() not in _FALSY
 
 
+def _serialize(form: object) -> bytes:
+    return marshal.dumps(form, _MARSHAL_VERSION)
+
+
+class _Encoders(dict):
+    """Per-class encoders, each resolved on first sight of its class."""
+
+    def __missing__(self, cls: type) -> Callable[[object], object]:
+        encode = self[cls] = _resolve(cls)
+        return encode
+
+
+_ENCODERS = _Encoders()
+
+
 def canonicalize(value: object) -> object:
-    """Flatten ``value`` into hashable primitives, deterministically."""
-    if value is None or isinstance(value, (bool, int, str, bytes)):
+    """The compact canonical form of ``value`` (see the module doc)."""
+    cls = type(value)
+    if cls in _ATOMS:
         return value
-    if isinstance(value, float):
-        # repr round-trips the exact double; no precision loss.
-        return ("float", repr(value))
-    if isinstance(value, Enum):
-        return ("enum", type(value).__name__, value.value)
-    if isinstance(value, Kernel):
-        # Content-addressed: the name and label table are identity and
-        # redundancy respectively; the instruction stream (with its
-        # resolved pcs, release flags and payloads) is the content.
-        return (
-            "kernel",
-            value.num_regs,
-            value.num_preds,
-            value.shared_bytes,
-            tuple(canonicalize(inst) for inst in value.instructions),
-        )
-    if isinstance(value, (list, tuple)):
-        return ("seq", tuple(canonicalize(item) for item in value))
-    if isinstance(value, (set, frozenset)):
-        return ("set", tuple(sorted(repr(canonicalize(v)) for v in value)))
-    if isinstance(value, dict):
-        return (
-            "map",
-            tuple(
-                sorted(
-                    (repr(canonicalize(k)), canonicalize(v))
-                    for k, v in value.items()
-                )
-            ),
-        )
-    if is_dataclass(value) and not isinstance(value, type):
+    return _ENCODERS[cls](value)
+
+
+def _forms(values) -> list:
+    """The items' forms, as a list: the canonical form of a sequence."""
+    return [
+        v if type(v) in _ATOMS else _ENCODERS[type(v)](v) for v in values
+    ]
+
+
+def _set(value) -> tuple:
+    return ("set", *sorted(_forms(value), key=_serialize))
+
+
+def _mapping(value: dict) -> tuple:
+    pairs = sorted(
+        ((canonicalize(k), canonicalize(v)) for k, v in value.items()),
+        key=lambda pair: _serialize(pair[0]),
+    )
+    return ("map", *(form for pair in pairs for form in pair))
+
+
+def _kernel(kernel: Kernel) -> tuple:
+    # Content-addressed: the name and label table are identity and
+    # redundancy respectively; the instruction stream (with its
+    # resolved pcs, release flags and payloads) is the content.
+    return ("kernel", *_forms((
+        kernel.num_regs, kernel.num_preds, kernel.shared_bytes,
+        *kernel.instructions,
+    )))
+
+
+def _enum_encoder(cls: type) -> Callable[[Enum], tuple]:
+    tag = f"enum {cls.__name__}"
+    built: dict[Enum, tuple] = {}
+
+    def encode(member: Enum) -> tuple:
+        form = built.get(member)
+        if form is None:
+            form = built[member] = (tag, canonicalize(member._value_))
+        return form
+
+    return encode
+
+
+def _dataclass_encoder(cls: type) -> Callable[[object], tuple]:
+    names = [f.name for f in fields(cls)]
+    digest = hashlib.sha256(" ".join(names).encode("utf-8")).hexdigest()
+    tag = f"{cls.__name__}:{digest[:12]}"
+    if len(names) > 1:
+        values = attrgetter(*names)
+    else:  # attrgetter returns a bare value for one name
+        def values(value: object) -> tuple:
+            return tuple(getattr(value, name) for name in names)
+
+    def encode(value: object) -> tuple:
+        return (tag, *_forms(values(value)))
+
+    return encode
+
+
+def _resolve(cls: type) -> Callable[[object], object]:
+    if issubclass(cls, Enum):
+        return _enum_encoder(cls)
+    for atom in (int, float, str, bytes):
+        if issubclass(cls, atom):
+            # e.g. numpy.float64: keyed as the plain value it equals.
+            return atom
+    if issubclass(cls, Kernel):
+        return _kernel
+    if issubclass(cls, (list, tuple)):
+        return _forms
+    if issubclass(cls, (set, frozenset)):
+        return _set
+    if issubclass(cls, dict):
+        return _mapping
+    if is_dataclass(cls):
         # Covers Instruction, PredGuard, GPUConfig, LaunchConfig,
-        # Workload, Table1Row, ... — field names are included so that
-        # adding/reordering fields invalidates old keys (a miss, the
-        # safe direction).
-        return (
-            "dataclass",
-            type(value).__name__,
-            tuple(
-                (f.name, canonicalize(getattr(value, f.name)))
-                for f in fields(value)
-            ),
-        )
+        # Workload, Table1Row, ...
+        return _dataclass_encoder(cls)
     raise TypeError(
-        f"cannot fingerprint {type(value).__name__!r} values; "
+        f"cannot fingerprint {cls.__name__!r} values; "
         "cache keys accept primitives, enums, containers, kernels "
         "and dataclasses only"
     )
 
 
 def fingerprint(*parts: object) -> str:
-    """SHA-256 hex digest of the canonicalized ``parts`` tuple."""
-    canon = tuple(canonicalize(part) for part in parts)
-    return hashlib.sha256(repr(canon).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of the canonical form of ``parts``."""
+    return hashlib.sha256(_serialize(canonicalize(parts))).hexdigest()
 
 
 def engine_fingerprint(cycle_skip: bool | None = None) -> tuple:

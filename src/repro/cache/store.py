@@ -138,7 +138,7 @@ class ResultCache:
         self._memory: dict[str, bytes] = {}
         #: (key, payload) pairs stored since the last ``take_exports``
         #: — how pool workers ship their fresh entries back to the
-        #: parent process (see ``repro.analysis.runners.run_sweep``).
+        #: parent process (see ``repro.analysis.runners.run_specs``).
         self._exports: list[tuple[str, bytes]] = []
         #: Keys the LRU evictor must never remove (in-flight service
         #: requests between first lookup and response delivery).

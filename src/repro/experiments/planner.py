@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.runners import run_sweep, spec_fingerprint
+from repro.analysis.runners import run_specs, spec_fingerprint
 from repro.experiments.registry import get_flows
 
 
@@ -103,12 +103,14 @@ def collect_plan(names: list[str], options: dict) -> SweepPlan:
 def execute_plan(plan: SweepPlan, jobs: int = 1) -> SweepPlan:
     """Run the plan's unique specs once, warming the result cache.
 
-    Results land in the process cache as a side effect of the cached
-    flows (and of worker export absorption when ``jobs > 1``); the
-    caller replays the experiments afterwards against the warm cache.
+    :func:`collect_plan` already deduped the specs, so they run as
+    they are, without being fingerprinted again. Results land in the
+    process cache as a side effect of the cached flows (and of worker
+    export absorption when ``jobs > 1``); the caller replays the
+    experiments afterwards against the warm cache.
     """
     started = time.time()
     if plan.unique:
-        run_sweep(plan.unique, jobs=jobs)
+        run_specs(plan.unique, jobs=jobs)
     plan.elapsed = time.time() - started
     return plan

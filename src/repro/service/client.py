@@ -72,8 +72,12 @@ class ServiceClient:
         kind, *where = parse_address(address)
         if kind == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout)
-            sock.connect(where[0])
+            try:
+                sock.settimeout(timeout)
+                sock.connect(where[0])
+            except BaseException:
+                sock.close()
+                raise
         else:
             sock = socket.create_connection(tuple(where), timeout=timeout)
         return cls(sock)
@@ -211,9 +215,7 @@ def submit_requests(
 
     async def _run() -> list[dict]:
         count = max(1, min(connections, len(requests)))
-        clients = [
-            await AsyncServiceClient.connect(address) for _ in range(count)
-        ]
+        clients: list[AsyncServiceClient] = []
         results: list[dict | None] = [None] * len(requests)
 
         async def drain(client: AsyncServiceClient, indices: list[int]):
@@ -221,6 +223,8 @@ def submit_requests(
                 results[index] = await client.submit(requests[index])
 
         try:
+            for _ in range(count):
+                clients.append(await AsyncServiceClient.connect(address))
             await asyncio.gather(*(
                 drain(client, list(range(i, len(requests), count)))
                 for i, client in enumerate(clients)

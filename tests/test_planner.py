@@ -142,6 +142,39 @@ class TestPlanner:
         ):
             assert get_flows(name) is not None, name
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_execute_plan_does_not_refingerprint(self, jobs, monkeypatch):
+        configure_cache()
+        keyed, ran = [], []
+        real_key = runners.flow_spec_key
+        real_flow = runners.run_flow
+        real_map = runners.parallel_map
+
+        def counting_key(*args):
+            keyed.append(args)
+            return real_key(*args)
+
+        def counting_flow(spec):
+            ran.append(spec)
+            return real_flow(spec)
+
+        def counting_map(fn, items, *rest):
+            ran.extend(items)
+            return real_map(fn, items, *rest)
+
+        monkeypatch.setattr(runners, "flow_spec_key", counting_key)
+        monkeypatch.setattr(runners, "run_flow", counting_flow)
+        monkeypatch.setattr(runners, "parallel_map", counting_map)
+        options = {
+            "scale": 0.5, "waves": 1, "workloads": ("vectoradd", "bfs"),
+        }
+        plan = collect_plan(["fig10", "fig14"], options)
+        execute_plan(plan, jobs=jobs)
+        assert len(keyed) == len(plan.declared) > len(plan.unique) > 1
+        # Each unique flow ran once: in-process for jobs=1, dispatched
+        # to the pool for jobs=2.
+        assert [id(spec) for spec in ran] == [id(s) for s in plan.unique]
+
 
 class TestRunnerCli:
     def test_cold_then_warm_invocation(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ change the answer must change the key.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import importlib
 import os
 import pathlib
@@ -19,6 +20,7 @@ import pickle
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,7 @@ from repro.cache import (
 )
 from repro.cache.store import TMP_SWEEP_AGE_SECONDS, parse_size
 from repro.isa import assemble
+from repro.isa.instruction import Instruction
 from repro.sim.gpu import simulate
 from repro.sim.stats import SimStats
 from repro.workloads.suite import get_workload
@@ -56,6 +59,31 @@ def _sim_key(kernel, launch, config, **overrides):
     )
     kwargs.update(overrides)
     return simulate_key(kernel, launch, config, **kwargs)
+
+
+class Shade(enum.Enum):
+    DARK = "dark"
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class Pair:
+    a: object
+    b: object
+
+
+def _changed(value):
+    """A different value of the same kind (``1`` in place of ``None``)."""
+    if value is None:
+        return 1
+    if isinstance(value, enum.Enum):
+        return next(m for m in type(value) if m is not value)
+    if isinstance(value, int):
+        return value + 1
+    return value + (1,)
 
 
 class TestFingerprint:
@@ -153,6 +181,97 @@ class TestFingerprint:
 
         with pytest.raises(TypeError):
             fingerprint(Opaque())
+
+    def test_primitive_kinds_key_apart(self):
+        values = [
+            1, True, 1.0, "1", b"1", Shade.DARK, Shade.DARK.value,
+            Level.ONE,
+        ]
+        assert len({fingerprint(v) for v in values}) == len(values)
+        assert fingerprint(0.0) != fingerprint(-0.0)
+
+    def test_primitive_subclasses_key_as_their_value(self):
+        class Count(int):
+            pass
+
+        assert fingerprint(Count(3)) == fingerprint(3)
+        assert fingerprint(np.float64(0.5)) == fingerprint(0.5)
+
+    def test_tuple_and_dataclass_key_apart(self):
+        solo = dataclasses.make_dataclass("Solo", ["a"])
+        empty = dataclasses.make_dataclass("Empty", [])
+        assert fingerprint((1, 2)) != fingerprint(Pair(1, 2))
+        assert fingerprint((1,)) != fingerprint(solo(1))
+        assert fingerprint(solo(1)) != fingerprint(solo(2))
+        assert fingerprint(()) != fingerprint(empty())
+
+    def test_dataclass_name_and_field_names_are_part_of_the_key(self):
+        twin = dataclasses.make_dataclass("Twin", ["a", "b"])
+        renamed = dataclasses.make_dataclass("Pair", ["a", "c"])
+        keys = {
+            fingerprint(Pair(1, 2)),
+            fingerprint(twin(1, 2)),
+            fingerprint(renamed(1, 2)),
+        }
+        assert len(keys) == 3
+
+    def test_lists_and_tuples_key_alike(self):
+        assert fingerprint([1, (2, [3])]) == fingerprint((1, [2, (3,)]))
+
+    def test_shared_objects_do_not_change_the_key(self):
+        def text():
+            return "".join(["x"] * 64)
+
+        shared, first, second = text(), text(), text()
+        assert fingerprint([shared, shared]) == fingerprint([first, second])
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(), st.text(max_size=3)),
+            unique=True, max_size=8,
+        ).flatmap(lambda xs: st.tuples(st.just(xs), st.permutations(xs)))
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_dict_and_set_order_does_not_matter(self, orders):
+        first, second = orders
+        assert fingerprint({k: repr(k) for k in first}) == fingerprint(
+            {k: repr(k) for k in second}
+        )
+        assert fingerprint(set(first)) == fingerprint(set(second))
+        assert fingerprint(frozenset(first)) == fingerprint(
+            frozenset(second)
+        )
+
+    def test_every_instruction_field_is_part_of_the_key(
+        self, straight_kernel, small_launch
+    ):
+        config = GPUConfig.baseline()
+        keys = {_sim_key(straight_kernel, small_launch, config)}
+        for f in dataclasses.fields(Instruction):
+            kernel = straight_kernel.clone()
+            inst = kernel.instructions[2]
+            setattr(inst, f.name, _changed(getattr(inst, f.name)))
+            keys.add(_sim_key(kernel, small_launch, config))
+        assert len(keys) == len(dataclasses.fields(Instruction)) + 1
+
+    def test_rejects_unknown_kinds_at_any_depth(
+        self, straight_kernel, small_launch
+    ):
+        class Opaque:
+            pass
+
+        for nested in (
+            Pair(1, Opaque()),
+            {Opaque(): 1},
+            {"k": [(Opaque(),)]},
+            {1, Opaque()},
+        ):
+            with pytest.raises(TypeError):
+                fingerprint(nested)
+        kernel = straight_kernel.clone()
+        kernel.instructions[-1].imm = Opaque()
+        with pytest.raises(TypeError):
+            _sim_key(kernel, small_launch, GPUConfig.baseline())
 
 
 class TestStore:

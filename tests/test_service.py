@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import gc
 import threading
+import warnings
 
 import pytest
 
@@ -28,10 +30,12 @@ from repro.cache import ResultCache, swap_cache
 from repro.experiments.planner import SweepPlan
 from repro.service import loadgen, protocol
 from repro.service.client import (
+    AsyncServiceClient,
     ServiceClient,
     ServiceError,
     format_address,
     parse_address,
+    submit_requests,
     wait_until_ready,
 )
 from repro.service.daemon import SimulationDaemon, serve
@@ -160,6 +164,40 @@ class TestAddresses:
     def test_format_address(self):
         assert format_address(":9001") == "tcp://127.0.0.1:9001"
         assert format_address("svc.sock") == "unix:svc.sock"
+
+
+class TestClientCleanup:
+    def test_failed_unix_connect_closes_its_socket(self, tmp_path):
+        missing = str(tmp_path / "absent.sock")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                ServiceClient.connect(missing, timeout=1.0)
+            gc.collect()
+        leaks = [w for w in caught if w.category is ResourceWarning]
+        assert not leaks, [str(w.message) for w in leaks]
+
+    def test_submit_closes_opened_clients_when_a_connect_fails(
+        self, monkeypatch
+    ):
+        opened, closed = [], []
+
+        class Opened:
+            async def close(self):
+                closed.append(self)
+
+        async def connect(address):
+            if len(opened) == 2:
+                raise ConnectionRefusedError("third connection refused")
+            opened.append(Opened())
+            return opened[-1]
+
+        monkeypatch.setattr(
+            AsyncServiceClient, "connect", staticmethod(connect)
+        )
+        with pytest.raises(ConnectionRefusedError):
+            submit_requests("unused.sock", [{}] * 4, connections=4)
+        assert len(opened) == 2 and closed == opened
 
 
 class TestSingleFlight:
