@@ -15,14 +15,10 @@ the cycle-skipping engine (the default) and once on the strict
 per-cycle path (``cycle_skip=False``, the engine PR 2 shipped). Both
 throughputs are recorded, so ``speedup`` — the machine-independent
 ratio between them — tracks whether the skip engine keeps paying off.
-The ``flags`` mode is likewise timed four ways: under the default
-engine stack (trace-JIT closures over cross-warp batching over the
-struct-of-arrays lane engine), under the generic issue path
-(``REPRO_TRACE_JIT=0``), under the per-warp vector path
-(``REPRO_WARP_BATCH=0``), and under the dict-layout reference
-(``REPRO_VECTOR_LANES=0``); ``jit_speedup``, ``batch_speedup`` and
-``vector_speedup`` are the within-run ratios against the reference
-walls.
+The ``flags`` mode is likewise timed twice: under the default
+struct-of-arrays lane engine and under the dict-layout reference
+(``REPRO_VECTOR_LANES=0``); ``vector_speedup`` is the within-run ratio
+between the two walls.
 
 Usage::
 
@@ -91,21 +87,20 @@ from repro.workloads.suite import Workload, get_workload
 #: (cold/warm result-cache wall clock + sweep-planner dedup ratio).
 #: v4 times the flags mode under both register-state engines
 #: (``REPRO_VECTOR_LANES``) and adds its ``*_scalar`` /
-#: ``vector_speedup`` fields. v5 additionally times the flags mode
-#: with cross-warp batching off (``REPRO_WARP_BATCH=0``) and adds the
-#: ``wall_seconds_nobatch`` / ``cycles_per_second_batch`` /
-#: ``batch_speedup`` fields. v6 keeps the per-run wall samples
-#: (``wall_samples`` plus ``wall_stddev`` / ``wall_min`` /
-#: ``wall_median`` on every record), times the flags mode with the
-#: trace JIT off (``REPRO_TRACE_JIT=0``) adding
-#: ``wall_seconds_nojit`` / ``cycles_per_second_jit`` /
-#: ``jit_speedup``, and times compilation with the result cache
-#: bypassed so ``compile_seconds`` can never be a memo lookup. v7 adds
-#: the optional ``service`` section (``--service``): the simulation
-#: daemon under zipf-distributed concurrent load — served wall clock
-#: vs. the no-cache sequential baseline, single-flight dedupe factors,
-#: and the count of responses that failed bit-identity verification
-#: against direct runs.
+#: ``vector_speedup`` fields. v5 and v6 timed the flags mode with the
+#: cross-warp batch engine and the trace JIT switched off
+#: (``*_nobatch`` / ``batch_speedup``, ``*_nojit`` / ``jit_speedup``);
+#: those columns were dropped with the engines, and files that still
+#: carry them validate and gate unchanged (extra fields are ignored).
+#: v6 also keeps the per-run wall samples (``wall_samples`` plus
+#: ``wall_stddev`` / ``wall_min`` / ``wall_median`` on every record)
+#: and times compilation with the result cache bypassed so
+#: ``compile_seconds`` can never be a memo lookup. v7 adds the
+#: optional ``service`` section (``--service``): the simulation daemon
+#: under zipf-distributed concurrent load — served wall clock vs. the
+#: no-cache sequential baseline, single-flight dedupe factors, and the
+#: count of responses that failed bit-identity verification against
+#: direct runs.
 SCHEMA = "repro-bench-hotpath/7"
 
 #: The fixed sample: small/medium kernels spanning ALU-heavy
@@ -141,32 +136,6 @@ GATE_SPEEDUP_FLOOR = 1.5
 #: degenerated into the reference path), while staying green across
 #: noisy shared runners.
 GATE_VECTOR_SPEEDUP_FLOOR = 1.05
-
-#: Minimum flags-mode batch-engine speedup (cross-warp batching vs.
-#: the per-warp vector path, measured within the same run) the gate
-#: accepts. Honest measurement on the bench sample puts this at
-#: ~1.0x: the sample's warps are not lockstep at bench scale (average
-#: same-pc group size 2–3.4), so batching buys real wins only on the
-#: few large groups while the wall stays dominated by per-instruction
-#: Python bytecode. Repeated runs land anywhere in ~0.8x–1.15x
-#: (per-workload draws swing ±20% on shared machines), so the floor
-#: is a pure *non-regression* bound set below that noise band — it
-#: fails only if the batch engine starts actively costing wall time —
-#: not a claimed win.
-GATE_BATCH_SPEEDUP_FLOOR = 0.70
-
-#: Minimum flags-mode trace-JIT speedup (specialized issue closures
-#: vs. the generic batch issue path, measured within the same run) the
-#: gate accepts. Honest measurement on the bench sample puts the JIT
-#: at ~1.0x–1.06x, not the 1.5x the issue targeted: after PR 6 the
-#: engine is no longer dispatch-bound (see ROADMAP — the remaining
-#: wall is spread across the tick scan, register-file allocate/free
-#: and the deferred-execute flush, with no per-instruction dispatch
-#: tier left to delete), so the closures win only their ~27% share of
-#: the wall. The floor is therefore a pure *non-regression* bound set
-#: below the noise band — it fails only if the JIT starts actively
-#: costing wall time — mirroring GATE_BATCH_SPEEDUP_FLOOR.
-GATE_JIT_SPEEDUP_FLOOR = 0.90
 
 #: Experiment sample for the pipeline benchmark: fig10 and fig14 share
 #: their all-workload virtualized runs (high dedup), fig11b and the
@@ -233,8 +202,8 @@ def _time_engine_off(
     run, repeats: int, flag: str
 ) -> tuple[float, list[float]]:
     """Best-of-``repeats`` wall time (plus the raw samples) of ``run``
-    with one engine flag (``REPRO_VECTOR_LANES``, ``REPRO_WARP_BATCH``
-    or ``REPRO_TRACE_JIT``) forced to ``0`` for the timed region only.
+    with one engine flag (e.g. ``REPRO_VECTOR_LANES``) forced to ``0``
+    for the timed region only.
     Cores resolve the flags at construction, inside the ``simulate``
     call, so an env override around the call is exact."""
     prior = os.environ.get(flag)
@@ -341,14 +310,9 @@ def _bench_mode(
         record["speedup"] = wall_noskip / wall if wall > 0 else 0.0
         record["wall_samples_noskip"] = samples_noskip
     if mode == "flags":
-        # The flags flow is where the fast engines bind their inlined
-        # issue/tick paths; time each reference engine too so the
-        # ratios are measured within one run. The default ``wall``
-        # above already runs the full stack (trace JIT over cross-warp
-        # batching over the vector lane engine), so
-        # ``cycles_per_second_batch`` / ``cycles_per_second_jit`` are
-        # its explicit aliases and the speedups divide the reference
-        # walls by it.
+        # The flags flow is where the vector engine binds its inlined
+        # issue/tick paths; time the dict-layout reference too so the
+        # ratio is measured within one run.
         wall_scalar, samples_scalar = _time_engine_off(
             run, repeats, "REPRO_VECTOR_LANES"
         )
@@ -360,24 +324,6 @@ def _bench_mode(
             wall_scalar / wall if wall > 0 else 0.0
         )
         record["wall_samples_scalar"] = samples_scalar
-        wall_nobatch, samples_nobatch = _time_engine_off(
-            run, repeats, "REPRO_WARP_BATCH"
-        )
-        record["wall_seconds_nobatch"] = wall_nobatch
-        record["cycles_per_second_batch"] = record["cycles_per_second"]
-        record["batch_speedup"] = (
-            wall_nobatch / wall if wall > 0 else 0.0
-        )
-        record["wall_samples_nobatch"] = samples_nobatch
-        wall_nojit, samples_nojit = _time_engine_off(
-            run, repeats, "REPRO_TRACE_JIT"
-        )
-        record["wall_seconds_nojit"] = wall_nojit
-        record["cycles_per_second_jit"] = record["cycles_per_second"]
-        record["jit_speedup"] = (
-            wall_nojit / wall if wall > 0 else 0.0
-        )
-        record["wall_samples_nojit"] = samples_nojit
     return record
 
 
@@ -404,8 +350,6 @@ def run_benchmark(
         wall = 0.0
         wall_noskip = 0.0
         wall_scalar = 0.0
-        wall_nobatch = 0.0
-        wall_nojit = 0.0
         cycles = 0
         instructions = 0
         ticks = 0
@@ -422,8 +366,6 @@ def run_benchmark(
             wall += record["wall_seconds"]
             wall_noskip += record.get("wall_seconds_noskip", 0.0)
             wall_scalar += record.get("wall_seconds_scalar", 0.0)
-            wall_nobatch += record.get("wall_seconds_nobatch", 0.0)
-            wall_nojit += record.get("wall_seconds_nojit", 0.0)
             cycles += record["cycles"]
             instructions += record["instructions"]
             ticks += record["ticks_executed"]
@@ -455,20 +397,6 @@ def run_benchmark(
             )
             summary["vector_speedup"] = (
                 wall_scalar / wall if wall > 0 else 0.0
-            )
-            summary["wall_seconds_nobatch"] = wall_nobatch
-            summary["cycles_per_second_batch"] = summary[
-                "cycles_per_second"
-            ]
-            summary["batch_speedup"] = (
-                wall_nobatch / wall if wall > 0 else 0.0
-            )
-            summary["wall_seconds_nojit"] = wall_nojit
-            summary["cycles_per_second_jit"] = summary[
-                "cycles_per_second"
-            ]
-            summary["jit_speedup"] = (
-                wall_nojit / wall if wall > 0 else 0.0
             )
         modes[mode] = summary
     total_wall = sum(m["wall_seconds"] for m in modes.values())
@@ -573,18 +501,11 @@ _REQUIRED_SHRINK_FIELDS = (
 )
 
 #: Extra fields the flags mode must carry (v4: both register-state
-#: engines are timed; v5: the per-warp no-batch reference too; v6:
-#: the trace-JIT-off reference).
+#: engines are timed).
 _REQUIRED_FLAGS_FIELDS = (
     ("wall_seconds_scalar", (int, float)),
     ("cycles_per_second_scalar", (int, float)),
     ("vector_speedup", (int, float)),
-    ("wall_seconds_nobatch", (int, float)),
-    ("cycles_per_second_batch", (int, float)),
-    ("batch_speedup", (int, float)),
-    ("wall_seconds_nojit", (int, float)),
-    ("cycles_per_second_jit", (int, float)),
-    ("jit_speedup", (int, float)),
 )
 
 #: Fields the optional ``pipeline`` section must carry when present.
@@ -802,20 +723,6 @@ def compare_bench(old: dict, new: dict) -> str:
             f"flags vector-engine speedup (SoA vs dict layout): "
             f"old {fmt(old_vec)}  new {fmt(new_vec)}"
         )
-    old_bat = old.get("modes", {}).get("flags", {}).get("batch_speedup")
-    new_bat = new.get("modes", {}).get("flags", {}).get("batch_speedup")
-    if old_bat is not None or new_bat is not None:
-        lines.append(
-            f"flags batch-engine speedup (cross-warp vs per-warp): "
-            f"old {fmt(old_bat)}  new {fmt(new_bat)}"
-        )
-    old_jit = old.get("modes", {}).get("flags", {}).get("jit_speedup")
-    new_jit = new.get("modes", {}).get("flags", {}).get("jit_speedup")
-    if old_jit is not None or new_jit is not None:
-        lines.append(
-            f"flags trace-JIT speedup (closures vs generic issue): "
-            f"old {fmt(old_jit)}  new {fmt(new_jit)}"
-        )
     old_pipe = (old.get("pipeline") or {}).get("speedup")
     new_pipe = (new.get("pipeline") or {}).get("speedup")
     if old_pipe is not None or new_pipe is not None:
@@ -896,32 +803,6 @@ def gate_bench(old: dict, new: dict, pct: float) -> list[str]:
             errors.append(
                 f"gate: flags vector-engine speedup {vector:.2f}x below "
                 f"floor {GATE_VECTOR_SPEEDUP_FLOOR:.2f}x"
-            )
-    # Same pattern for the batch engine, gated only once the reference
-    # file carries the v5 fields so pre-v5 files keep gating cleanly.
-    # The floor is a non-regression bound, not a win claim — see
-    # GATE_BATCH_SPEEDUP_FLOOR.
-    if "batch_speedup" in old.get("modes", {}).get("flags", {}):
-        batch = new.get("modes", {}).get("flags", {}).get("batch_speedup")
-        if batch is None:
-            errors.append("gate: new results lack flags batch_speedup")
-        elif batch < GATE_BATCH_SPEEDUP_FLOOR:
-            errors.append(
-                f"gate: flags batch-engine speedup {batch:.2f}x below "
-                f"floor {GATE_BATCH_SPEEDUP_FLOOR:.2f}x"
-            )
-    # And again for the trace JIT, gated only once the reference file
-    # carries the v6 fields so pre-v6 files keep gating cleanly. The
-    # floor is a non-regression bound — the honest measured speedup is
-    # ~1.0x, see GATE_JIT_SPEEDUP_FLOOR.
-    if "jit_speedup" in old.get("modes", {}).get("flags", {}):
-        jit = new.get("modes", {}).get("flags", {}).get("jit_speedup")
-        if jit is None:
-            errors.append("gate: new results lack flags jit_speedup")
-        elif jit < GATE_JIT_SPEEDUP_FLOOR:
-            errors.append(
-                f"gate: flags trace-JIT speedup {jit:.2f}x below "
-                f"floor {GATE_JIT_SPEEDUP_FLOOR:.2f}x"
             )
     # The pipeline section is gated only when the reference file has
     # one (older files predate it; plain --quick runs omit it).
@@ -1006,18 +887,7 @@ def _report(data: dict) -> str:
         f"flags dict-layout engine: {flags['wall_seconds_scalar']:.2f}s "
         f"({flags['cycles_per_second_scalar']:,.1f} cycles/s) -> "
         f"vector lane engine speeds it up "
-        f"{flags['vector_speedup']:.2f}x"
-    )
-    lines.append(
-        f"flags per-warp vector path: "
-        f"{flags['wall_seconds_nobatch']:.2f}s -> cross-warp batching "
-        f"at {flags['batch_speedup']:.2f}x (workload-dependent; "
-        f"parity means the sample's warps rarely run lockstep)"
-    )
-    lines.append(
-        f"flags generic issue path: "
-        f"{flags['wall_seconds_nojit']:.2f}s -> trace JIT at "
-        f"{flags['jit_speedup']:.2f}x "
+        f"{flags['vector_speedup']:.2f}x "
         f"(wall stddev {flags['wall_stddev'] * 1000:.1f}ms over "
         f"{flags['runs']} runs)"
     )

@@ -7,12 +7,13 @@ A cache key must identify *everything* a result depends on:
 * the launch geometry and the full :class:`~repro.arch.GPUConfig`;
 * the simulation kwargs (``mode``, ``threshold``, wave caps, sampling);
 * the **engine fingerprint**: the ``REPRO_DECODE_CACHE`` /
-  ``REPRO_CYCLE_SKIP`` / ``REPRO_VECTOR_LANES`` /
-  ``REPRO_WARP_BATCH`` / ``REPRO_TRACE_JIT`` environment switches plus
-  :data:`CACHE_SCHEMA_VERSION`. The engine flags are semantically
+  ``REPRO_CYCLE_SKIP`` / ``REPRO_VECTOR_LANES`` environment switches
+  plus :data:`CACHE_SCHEMA_VERSION`. The engine flags are semantically
   bit-identical, but the ``ticks_executed`` / ``skipped_cycles``
   diagnostics differ between them, and a cached result must round-trip
-  *every* field of a fresh run under the same flags.
+  *every* field of a fresh run under the same flags. The tuple's shape
+  is part of the key, so entries written under an engine set with more
+  or fewer switches simply miss.
 
 Fingerprints are SHA-256 digests of a compact canonical form
 (encoding v2):
@@ -200,8 +201,6 @@ def engine_fingerprint(cycle_skip: bool | None = None) -> tuple:
         _flag("REPRO_DECODE_CACHE"),
         bool(cycle_skip),
         _flag("REPRO_VECTOR_LANES"),
-        _flag("REPRO_WARP_BATCH"),
-        _flag("REPRO_TRACE_JIT"),
     )
 
 

@@ -13,9 +13,7 @@ default settings. ``--jobs N`` fans the deduplicated simulation plan
 out across N worker processes (``--jobs 0`` means one per CPU); output
 is printed in request order either way. ``--profile`` wraps the
 (serial) run in :mod:`cProfile`, prints the top 20 functions by
-cumulative time plus the trace-JIT codegen bucket (time spent
-generating and compiling block closures, which ``exec`` frames hide
-from the pstats table), and saves ``profile.pstats`` for ``pstats``/
+cumulative time, and saves ``profile.pstats`` for ``pstats``/
 ``snakeviz``-style tools.
 
 Results are memoized in a content-addressed cache (on disk at
@@ -252,16 +250,6 @@ def main(argv: list[str] | None = None) -> int:
             profiler.dump_stats(out)
             stats = pstats.Stats(profiler, stream=sys.stdout)
             stats.sort_stats("cumulative").print_stats(20)
-            # JIT codegen happens inside compile()/exec one-liners the
-            # pstats table attributes poorly, so report the bucket the
-            # codegen tier accounts for itself (zero when the profiled
-            # run never built a program — jit off, or warm memo).
-            from repro.sim import jit
-
-            print(
-                f"jit codegen: {jit.codegen_seconds:.3f}s across "
-                f"{jit.codegen_runs} compiled block runs"
-            )
             print(f"profile: {out}")
         else:
             plan = collect_plan(names, options) if cache.enabled else None

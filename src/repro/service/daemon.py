@@ -40,6 +40,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.cache import ResultCache, cache_env_value, get_cache
@@ -144,11 +145,23 @@ class SimulationDaemon:
 
     async def _run_request(self, request: dict) -> dict:
         """Execute one simulate request on the pool (monkeypatchable in
-        tests); absorbs the worker's cache exports."""
+        tests); absorbs the worker's cache exports.
+
+        A worker that dies breaks its pool for good: every later submit
+        would fail. The request that sees the break fails, and the pool
+        is dropped so the next miss starts a fresh one.
+        """
         loop = asyncio.get_running_loop()
-        payload, exports = await loop.run_in_executor(
-            self._pool(), _execute_request, request
-        )
+        pool = self._pool()
+        try:
+            payload, exports = await loop.run_in_executor(
+                pool, _execute_request, request
+            )
+        except BrokenProcessPool:
+            if self._executor is pool:
+                self._executor = None
+                pool.shutdown(wait=False, cancel_futures=True)
+            raise
         self.cache.absorb(exports, persist=not self._workers_share_disk)
         return payload
 
@@ -263,7 +276,21 @@ class SimulationDaemon:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # Over-long line: readline has dropped what it
+                    # buffered; drop the rest of the line too.
+                    await _skip_line(reader, exc)
+                    self.metrics.requests += 1
+                    self.metrics.errors += 1
+                    writer.write(protocol.encode_line({
+                        "ok": False,
+                        "error": "request line longer than "
+                                 f"{protocol.MAX_LINE_BYTES} bytes",
+                    }))
+                    await writer.drain()
+                    continue
                 if not line:
                     break
                 try:
@@ -295,11 +322,13 @@ class SimulationDaemon:
         kind, *where = parse_address(address)
         if kind == "unix":
             return await asyncio.start_unix_server(
-                self._handle_connection, path=where[0]
+                self._handle_connection, path=where[0],
+                limit=protocol.MAX_LINE_BYTES,
             )
         host, port = where
         return await asyncio.start_server(
-            self._handle_connection, host=host, port=port
+            self._handle_connection, host=host, port=port,
+            limit=protocol.MAX_LINE_BYTES,
         )
 
     async def run(self, address: str, ready=None) -> None:
@@ -318,6 +347,23 @@ class SimulationDaemon:
 
     async def close(self) -> None:
         self._stopping.set()
+
+
+async def _skip_line(
+    reader: asyncio.StreamReader, overrun: ValueError
+) -> None:
+    """Discard the rest of an over-long line after ``readline`` raised
+    ``overrun``. When the newline was already in the buffer, readline
+    dropped the whole line; otherwise it dropped only what it had read,
+    and the remainder is read and dropped here, up to the newline (or
+    end of stream). asyncio tells the two cases apart only in the
+    message: "Separator is found, ..." or "Separator is not found, ..."."""
+    while "not found" in str(overrun):
+        try:
+            await reader.readline()
+            return
+        except ValueError as exc:
+            overrun = exc
 
 
 def serve(

@@ -27,6 +27,9 @@ Responses echo the request ``id`` (when given) and carry ``ok``; a
 SimStats payload** (:func:`stats_payload`), so a client can assert
 bit-identity against a direct :func:`repro.cache.cached_simulate` run
 field by field — the service's correctness contract.
+
+A request line may be at most :data:`MAX_LINE_BYTES` long, newline
+excluded; a longer one is dropped and answered with an error.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from repro.sim.stats import SimStats
 #: Bump on incompatible wire/schema changes; part of every request and
 #: of the daemon's response-cache key.
 PROTOCOL_VERSION = 1
+
+#: Longest request line the daemon reads, newline excluded.
+MAX_LINE_BYTES = 64 * 1024
 
 
 class ProtocolError(ValueError):

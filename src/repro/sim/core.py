@@ -41,15 +41,12 @@ from repro.sim.execute import (
     EXEC_LOAD,
     EXEC_SETP,
     EXEC_STORE,
-    BatchBuffers,
     _bind_rows,
     array_to_mask,
     effective_mask,
     execute,
     execute_decoded,
     execute_decoded_vector,
-    execute_deferred_group,
-    execute_deferred_single,
 )
 from repro.sim.memory import GlobalMemory, MemoryUnit, SharedMemory
 from repro.sim.regfile import PhysicalRegisterFile
@@ -79,11 +76,6 @@ class _Issue(enum.Enum):
 #: Sentinels returned by ``_register_access`` alongside int penalties.
 _ALLOC_FAIL = object()
 _ALLOC_FORBIDDEN = object()
-
-#: ``Warp._sb_until`` sentinel for "blocked on a memory writeback":
-#: the wake cycle is unknown at scan time, so the block lifts only when
-#: the ``mem_wb`` event clears ``_sb_wait``.
-_SB_INF = 1 << 62
 
 
 class CTA:
@@ -297,73 +289,6 @@ class SMCore:
                 # generic scheduler calls.
                 self.tick = self._tick_vector
 
-        # Cross-warp batch engine (see docs/INTERNALS.md, "Cross-warp
-        # batching"): ALU/SETP value computation is deferred at issue
-        # into a per-pc pool and materialized at flush points batched
-        # across warps, with every per-issue stat delta bulk-applied
-        # from static per-(pc, slot-class) plans. ``REPRO_WARP_BATCH=0``
-        # keeps the per-warp vector path as the strict reference. The
-        # engine binds only where its static plans are provably exact:
-        # on top of the vector issue path (tracer-less flags mode with
-        # decode cache), round-robin scheduling, a fully provisioned
-        # register file (no throttling, no spills), canonical
-        # bank-preserving renaming, and no mid-run stat sampling.
-        env_batch = os.environ.get("REPRO_WARP_BATCH", "1")
-        self.warp_batch = env_batch.strip().lower() not in (
-            "0", "off", "false"
-        )
-        #: Deferred-value pool: pc -> ([warps], [issue masks],
-        #: {slot-class: planned-issue count}). Always present so
-        #: non-batch engines see an always-empty dict.
-        self._dq: dict[int, tuple[list, list, dict]] = {}
-        self._mask_memo: dict[int, np.ndarray] = {}
-        #: Warps blocked on a lazily-cleared writeback, for
-        #: ``_next_wake``'s jump-target scan (the batch engine replaces
-        #: fixed-latency wb heap events with per-warp ready cycles, so
-        #: the wake candidates live here instead of the event queue).
-        self._sb_wakeups: set[Warp] = set()
-        self._batch_bufs: BatchBuffers | None = None
-        if (
-            self.warp_batch
-            and self.tick.__func__ is SMCore._tick_vector
-            and not self._underprov
-            and self._bank_preserving
-            and sample_interval == 0
-        ):
-            self._batch_bufs = BatchBuffers(
-                config.max_warps_per_sm, config.warp_size
-            )
-            self._nb = self.regfile.num_banks
-            self._lane_tmpl = np.arange(config.warp_size, dtype=np.int64)
-            self._try_issue = self._try_issue_batch
-            self.tick = self._tick_batch
-
-        # Trace-level JIT engine (see docs/INTERNALS.md, "Trace-level
-        # JIT"): basic-block runs are compiled into specialized
-        # closures — per-pc issue closures replacing the planned fast
-        # path of ``_try_issue_batch`` and whole-run value closures
-        # replacing the per-step flush dispatch. ``REPRO_TRACE_JIT=0``
-        # keeps the batch engine as the strict reference. The JIT
-        # composes on top of the batch engine only (same binding
-        # preconditions); closures bail to the interpreter before any
-        # side effect whenever the front end is not clean.
-        env_jit = os.environ.get("REPRO_TRACE_JIT", "1")
-        self.trace_jit = env_jit.strip().lower() not in (
-            "0", "off", "false"
-        )
-        self._jit = None
-        if (
-            self.trace_jit
-            and self.tick.__func__ is SMCore._tick_batch
-            and self._decode_cache is not None
-        ):
-            from repro.sim.jit import ensure_jit
-
-            program = ensure_jit(self._decode_cache, kernel, config)
-            if program.has_runs:
-                self._jit = program
-                self.tick = self._tick_jit
-
     # ------------------------------------------------------------------ events
     def _push_event(self, cycle: int, kind: str, payload: tuple) -> None:
         heapq.heappush(self._events, (cycle, next(self._seq), kind, payload))
@@ -497,20 +422,6 @@ class SMCore:
                 )
             else:
                 warp = Warp(wslot, cta, index, self.config.warp_size, active)
-            if self._batch_bufs is not None:
-                # Batch-engine bank audit: the static issue plans assume
-                # every live physical register sits on its compiler bank
-                # ``(arch + slot) % num_banks``; pinned exempt registers
-                # that landed elsewhere (allocation fallback) are
-                # counted here, and the fast path skips the warp while
-                # the count is non-zero.
-                nb = self._nb
-                rpb = self.regfile.regs_per_bank
-                off = 0
-                for arch, phys in self.renaming._direct[wslot].items():
-                    if phys // rpb != (arch + wslot) % nb:
-                        off += 1
-                warp._offbank = off
             if self.rfc is not None:
                 self.rfc.attach_warp(wslot)
             cta.warps.append(warp)
@@ -1256,631 +1167,6 @@ class SMCore:
             )
         return _Issue.ISSUED
 
-    def _mask_of(self, mask_int: int) -> np.ndarray:
-        """Issue-time active mask int -> bool lane array (memo).
-
-        Deferred instructions capture their mask as an int at issue
-        (reconvergence may change the live mask before the flush);
-        this memo rebuilds the lane array once per distinct mask.
-        Returned arrays are shared and read-only.
-        """
-        arr = self._mask_memo.get(mask_int)
-        if arr is None:
-            arr = ((mask_int >> self._lane_tmpl) & 1).astype(bool)
-            self._mask_memo[mask_int] = arr
-        return arr
-
-    def _try_issue_batch(self, warp: Warp, now: int,
-                         forbid_alloc: bool = False,
-                         top=None) -> _Issue:
-        """Cross-warp batch issue path (``REPRO_WARP_BATCH=1``).
-
-        ``_try_issue_vector`` with the *value* computation of ALU/SETP
-        instructions deferred into the core's per-pc pool (``_dq``) for
-        batched materialization at flush points (``_flush_batch``). On
-        the fully planned fast path — no allocation needed, every
-        operand's physical register on its compiler bank — the per-issue
-        stat deltas are deferred too and bulk-applied per group from the
-        decode-time plans. Timing stays per-issue exact: scoreboard
-        checks, writeback events, releases, and pc advance all happen
-        here at the true issue cycle; only values and additive stats
-        lag. Bound only where the static plans are exact (see
-        ``__init__``); the equivalence grids pin every
-        :class:`SimStats` field against the vector engine.
-
-        ``top`` lets the trace-JIT tick pass the stack top it already
-        reconverged while choosing a closure, skipping the duplicate
-        prologue on interpreter fallbacks.
-        """
-        stack = warp.stack
-        if top is None:
-            if len(stack._stack) > 1:
-                stack.maybe_reconverge()
-            top = stack._stack[-1]
-        stats = self.stats
-
-        decode = self._decode
-        while True:
-            d = decode[top.pc]
-            if d.is_pir:
-                flag_cache = self.flag_cache
-                if flag_cache is not None and flag_cache.probe(d.pc):
-                    stats.pir_skipped += 1
-                    top.pc += 1
-                    continue
-                if flag_cache is not None:
-                    flag_cache.install(d.pc)
-                stats.pir_decoded += 1
-                top.pc += 1
-                warp.last_issue_cycle = now
-                return _Issue.ISSUED
-            break
-
-        renaming = self.renaming
-        slot = warp.slot
-        regfile = self.regfile
-        regs_per_bank = regfile.regs_per_bank
-        nb = self._nb
-
-        if d.is_pbr:
-            stats.pbr_decoded += 1
-            # ``RenamingTable.release`` unrolled (flags, tracer-less)
-            # with the off-bank audit the static issue plans rely on.
-            threshold = renaming.threshold
-            warp_map = renaming._maps[slot]
-            rel_live = renaming._released_live[slot]
-            for reg in d.release_regs:
-                if reg < threshold:
-                    continue
-                phys = warp_map.get(reg)
-                if phys is None:
-                    stats.wasted_releases += 1
-                    continue
-                stats.renaming_writes += 1
-                del warp_map[reg]
-                regfile.free(phys, now)
-                renaming.version += 1
-                renaming.cta_allocated[renaming._cta_of_warp[slot]] -= 1
-                rel_live.add(reg)
-                if warp._offbank and (
-                    phys // regs_per_bank != (reg + slot) % nb
-                ):
-                    warp._offbank -= 1
-            top.pc += 1
-            warp.last_issue_cycle = now
-            return _Issue.ISSUED
-
-        # Scoreboard with lazy clears: fixed-latency writebacks carry a
-        # ready cycle in ``_wb_reg_at`` / ``_wb_pred_at`` instead of a
-        # heap event; an entry whose cycle has passed is cleared here,
-        # exactly when the reference would have drained its event (both
-        # unblock at the first tick whose ``now`` reaches the cycle).
-        # An entry with no ready cycle is an in-flight memory load —
-        # only its ``mem_wb`` event can lift the block.
-        pending = warp.pending_regs
-        if pending:
-            wb_at = warp._wb_reg_at
-            for reg in d.srcs:
-                if reg in pending:
-                    rc = wb_at.get(reg)
-                    if rc is None or rc > now:
-                        warp._sb_until = _SB_INF if rc is None else rc
-                        return _Issue.SCOREBOARD
-                    pending.discard(reg)
-                    del wb_at[reg]
-            reg = d.dst
-            if reg is not None and reg in pending:
-                rc = wb_at.get(reg)
-                if rc is None or rc > now:
-                    warp._sb_until = _SB_INF if rc is None else rc
-                    return _Issue.SCOREBOARD
-                pending.discard(reg)
-                del wb_at[reg]
-        pending_preds = warp.pending_preds
-        if pending_preds:
-            wb_at = warp._wb_pred_at
-            for preg in (d.guard_preg, d.pdst):
-                if preg is not None and preg in pending_preds:
-                    rc = wb_at.get(preg)
-                    if rc is None or rc > now:
-                        warp._sb_until = _SB_INF if rc is None else rc
-                        return _Issue.SCOREBOARD
-                    pending_preds.discard(preg)
-                    del wb_at[preg]
-
-        dst = d.dst
-        if d.deferrable and not warp._offbank:
-            warp_map = renaming._maps[slot]
-            planned = True
-            if d.above_srcs:
-                for reg in d.above_srcs:
-                    if reg not in warp_map:
-                        planned = False
-                        break
-            if planned:
-                # ---- planned fast path: the register-access stage is
-                # static per (pc, slot class), so its stat deltas defer
-                # with the value and bulk-apply at flush. Allocation is
-                # timing (the free pool gates *other* warps' issues) and
-                # stays inline, in the reference stat order — a scan
-                # failing on ALLOC leaves identical side effects.
-                if d.lookup_conflict_extra:
-                    stats.renaming_conflict_cycles += (
-                        d.lookup_conflict_extra
-                    )
-                smod = slot % nb
-                wake = 0
-                if dst is not None and d.dst_above:
-                    stats.renaming_reads += 1
-                    dst_phys = warp_map.get(dst)
-                    if dst_phys is None:
-                        dst_bank = d.dst_bank_by_slotmod[smod]
-                        result = regfile.allocate(dst_bank, now)
-                        if result is None:
-                            return _Issue.ALLOC
-                        dst_phys, wake = result
-                        warp_map[dst] = dst_phys
-                        renaming._released_live[slot].discard(dst)
-                        stats.renaming_writes += 1
-                        renaming.version += 1
-                        cta_id = renaming._cta_of_warp[slot]
-                        renaming.cta_allocated[cta_id] += 1
-                        ever = renaming._ever[slot]
-                        if dst not in ever:
-                            ever.add(dst)
-                            renaming.cta_assigned[cta_id] += 1
-                        if wake:
-                            stats.stall_wakeup_cycles += wake
-                        actual = dst_phys // regs_per_bank
-                        if actual != dst_bank:
-                            # Fallback landed off the compiler bank:
-                            # patch the plan's static dst access and
-                            # poison this warp's fast path until the
-                            # register is released.
-                            warp._offbank += 1
-                            bank_acc = stats.rf_bank_accesses
-                            bank_acc[actual] += 1
-                            bank_acc[dst_bank] -= 1
-                pc = d.pc
-                if 0 <= warp._dq_tail >= pc:
-                    # Loop back edge re-entering a pooled pc: drain this
-                    # warp's slice first (its entries all sit at or
-                    # below the tail) so re-execution cannot
-                    # double-defer.
-                    self._flush_batch(warp._dq_tail)
-                group = self._dq.get(pc)
-                if group is None:
-                    group = ([], [], {})
-                    self._dq[pc] = group
-                group[0].append(warp)
-                group[1].append(top.mask)
-                counts = group[2]
-                counts[smod] = counts.get(smod, 0) + 1
-                warp._dq_tail = pc
-                warp.last_issue_cycle = now
-
-                if d.release_list is not None:
-                    threshold = renaming.threshold
-                    rel_live = renaming._released_live[slot]
-                    for reg in d.release_list:
-                        if reg < threshold:
-                            continue
-                        phys = warp_map.get(reg)
-                        if phys is None:
-                            stats.wasted_releases += 1
-                            continue
-                        stats.renaming_writes += 1
-                        del warp_map[reg]
-                        regfile.free(phys, now)
-                        renaming.version += 1
-                        renaming.cta_allocated[
-                            renaming._cta_of_warp[slot]
-                        ] -= 1
-                        rel_live.add(reg)
-                        if warp._offbank and (
-                            phys // regs_per_bank != (reg + slot) % nb
-                        ):
-                            warp._offbank -= 1
-
-                top.pc += 1
-                if d.needs_wb:
-                    rc = now + d.wb_off_by_slotmod[smod] + wake
-                    if dst is not None:
-                        warp.pending_regs.add(dst)
-                        warp._wb_reg_at[dst] = rc
-                    if d.pdst is not None:
-                        warp.pending_preds.add(d.pdst)
-                        warp._wb_pred_at[d.pdst] = rc
-                return _Issue.ISSUED
-
-        # ---- slow path: allocation needed, off-bank registers,
-        # read-before-write sources, or a non-deferrable instruction.
-        # Stats and timing inline, line-for-line the vector path;
-        # deferrable values still join the pool so the per-warp
-        # program-order flush invariant holds.
-        penalty = 0
-        bank_acc = stats.rf_bank_accesses
-        if d.lookup_conflict_extra:
-            stats.renaming_conflict_cycles += d.lookup_conflict_extra
-        warp_map = renaming._maps[slot]
-        if dst is not None:
-            if d.dst_above:
-                if forbid_alloc and dst not in warp_map:
-                    return _Issue.FORBIDDEN
-                stats.renaming_reads += 1
-                dst_phys = warp_map.get(dst)
-                if dst_phys is None:
-                    # ``RenamingTable._allocate`` unrolled (the engine
-                    # binds only with bank-preserving renaming), plus
-                    # the off-bank audit for fallback allocations.
-                    dst_bank = d.dst_bank_by_slotmod[slot % nb]
-                    result = regfile.allocate(dst_bank, now)
-                    if result is None:
-                        return _Issue.ALLOC
-                    dst_phys, wake = result
-                    warp_map[dst] = dst_phys
-                    renaming._released_live[slot].discard(dst)
-                    stats.renaming_writes += 1
-                    renaming.version += 1
-                    cta_id = renaming._cta_of_warp[slot]
-                    renaming.cta_allocated[cta_id] += 1
-                    ever = renaming._ever[slot]
-                    if dst not in ever:
-                        ever.add(dst)
-                        renaming.cta_assigned[cta_id] += 1
-                    if dst_phys // regs_per_bank != dst_bank:
-                        warp._offbank += 1
-                    if wake:
-                        penalty += wake
-                        stats.stall_wakeup_cycles += wake
-            else:
-                dst_phys = renaming._direct[slot][dst]
-            stats.rf_writes += 1
-            bank_acc[dst_phys // regs_per_bank] += 1
-        banks: list[int] = []
-        if d.below_srcs:
-            direct = renaming._direct[slot]
-            for reg in d.below_srcs:
-                phys = direct[reg]
-                stats.rf_reads += 1
-                bank = phys // regs_per_bank
-                bank_acc[bank] += 1
-                banks.append(bank)
-        for reg in d.above_srcs:
-            stats.renaming_reads += 1
-            phys = warp_map.get(reg)
-            if phys is None:
-                if reg in renaming._released_live[slot]:
-                    raise RenamingError(
-                        f"use-after-release: warp {slot} read r{reg} "
-                        "after its compiler-directed release (unsound "
-                        "release plan)"
-                    )
-                continue
-            stats.rf_reads += 1
-            bank = phys // regs_per_bank
-            bank_acc[bank] += 1
-            banks.append(bank)
-        if len(banks) > 1:
-            extra = len(banks) - len(set(banks))
-            if extra:
-                stats.stall_bank_conflict_cycles += extra
-                penalty += extra
-
-        # Execute. Deferrable values still enter the pool (program
-        # order); everything else drains the pool before it can read a
-        # deferred result, then runs the vector execute inline.
-        taken = None
-        guard_row = None
-        kind = d.exec_kind
-        if d.deferrable:
-            pc = d.pc
-            if 0 <= warp._dq_tail >= pc:
-                self._flush_batch(warp._dq_tail)
-            group = self._dq.get(pc)
-            if group is None:
-                group = ([], [], {})
-                self._dq[pc] = group
-            group[0].append(warp)
-            group[1].append(top.mask)
-            warp._dq_tail = pc
-        else:
-            if d.flushes_pool and warp._dq_tail >= 0:
-                # Only this warp's deferred values can flow into the
-                # registers it is about to read, and they all sit at or
-                # below its tail — other warps' groups keep pooling.
-                self._flush_batch(warp._dq_tail)
-            entry = warp._vec_ops.get(d.pc)
-            if entry is None:
-                entry = _bind_rows(d, warp)
-            src_rows, dst_row, guard_row, pdst_row = entry
-            if guard_row is None:
-                if d.is_branch:
-                    taken = top.mask
-                elif kind == EXEC_LOAD:
-                    mask = warp.mask_array()
-                    addrs = warp._scratch2
-                    np.add(src_rows[0], d.offset, out=addrs)
-                    np.bitwise_and(addrs, ADDR_MASK, out=addrs)
-                    memory = (
-                        self.gmem if d.is_global_mem else warp.cta.shared
-                    )
-                    memory.load_into(addrs, mask, warp._mscratch)
-                    np.copyto(dst_row, warp._mscratch, where=mask)
-                elif kind == EXEC_STORE:
-                    mask = warp.mask_array()
-                    addrs = warp._scratch2
-                    np.add(src_rows[0], d.offset, out=addrs)
-                    np.bitwise_and(addrs, ADDR_MASK, out=addrs)
-                    memory = (
-                        self.gmem if d.is_global_mem else warp.cta.shared
-                    )
-                    memory.store(addrs, src_rows[1], mask)
-            else:
-                gmask = warp._gscratch
-                if d.guard_negated:
-                    np.greater(warp.mask_array(), guard_row, out=gmask)
-                else:
-                    np.logical_and(warp.mask_array(), guard_row, out=gmask)
-                if d.is_branch:
-                    taken = array_to_mask(gmask)
-                elif kind == EXEC_LOAD:
-                    addrs = warp._scratch2
-                    np.add(src_rows[0], d.offset, out=addrs)
-                    np.bitwise_and(addrs, ADDR_MASK, out=addrs)
-                    memory = (
-                        self.gmem if d.is_global_mem else warp.cta.shared
-                    )
-                    memory.load_into(addrs, gmask, warp._mscratch)
-                    np.copyto(dst_row, warp._mscratch, where=gmask)
-                elif kind == EXEC_STORE:
-                    addrs = warp._scratch2
-                    np.add(src_rows[0], d.offset, out=addrs)
-                    np.bitwise_and(addrs, ADDR_MASK, out=addrs)
-                    memory = (
-                        self.gmem if d.is_global_mem else warp.cta.shared
-                    )
-                    memory.store(addrs, src_rows[1], gmask)
-
-        stats.instructions += 1
-        warp.last_issue_cycle = now
-
-        if d.release_list is not None:
-            threshold = renaming.threshold
-            rel_live = renaming._released_live[slot]
-            for reg in d.release_list:
-                if reg < threshold:
-                    continue
-                phys = warp_map.get(reg)
-                if phys is None:
-                    stats.wasted_releases += 1
-                    continue
-                stats.renaming_writes += 1
-                del warp_map[reg]
-                regfile.free(phys, now)
-                renaming.version += 1
-                renaming.cta_allocated[renaming._cta_of_warp[slot]] -= 1
-                rel_live.add(reg)
-                if warp._offbank and (
-                    phys // regs_per_bank != (reg + slot) % nb
-                ):
-                    warp._offbank -= 1
-
-        config = self.config
-
-        if d.is_branch:
-            stats.branches += 1
-            fallthrough = d.pc + 1
-            if guard_row is None:
-                stack.pc = d.target_pc
-            else:
-                if d.reconv_pc is None:
-                    raise SimulationError(
-                        f"conditional branch at pc {d.pc} has no "
-                        "reconvergence point (kernel not compiled?)"
-                    )
-                if stack.branch(taken, d.target_pc, fallthrough,
-                                d.reconv_pc):
-                    stats.divergent_branches += 1
-            if stack.pc != fallthrough:
-                warp.stall_front_end(
-                    now + 1 + config.renaming_extra_cycles,
-                    self._stalled_wakeups,
-                )
-            return _Issue.ISSUED
-
-        if d.is_exit:
-            exit_mask = (
-                top.mask if guard_row is None else array_to_mask(gmask)
-            )
-            if stack.exit_lanes(exit_mask):
-                self._finish_warp(warp, now)
-            elif warp.pc == d.pc:
-                warp.pc += 1
-            return _Issue.ISSUED
-
-        if d.is_barrier:
-            stats.barriers += 1
-            top.pc += 1
-            self._arrive_barrier(
-                warp, self.schedulers[slot % len(self.schedulers)]
-            )
-            return _Issue.ISSUED
-
-        top.pc += 1
-
-        if d.is_global_mem:
-            stats.memory_instructions += 1
-            complete = self.mem_unit.request(now) + penalty
-            if not d.is_store:
-                warp.pending_regs.add(dst)
-                warp.outstanding_mem += 1
-                self._push_event(complete, "mem_wb", (warp, d.inst))
-                self.schedulers[slot % len(self.schedulers)].demote(warp)
-            return _Issue.ISSUED
-
-        if d.is_shared_mem:
-            stats.memory_instructions += 1
-            if not d.is_store:
-                warp.pending_regs.add(dst)
-                warp._wb_reg_at[dst] = (
-                    now + config.shared_mem_latency + penalty
-                )
-            return _Issue.ISSUED
-
-        if d.needs_wb:
-            latency = (
-                config.sfu_latency if d.is_sfu else config.alu_latency
-            )
-            rc = now + latency + penalty
-            if dst is not None:
-                warp.pending_regs.add(dst)
-                warp._wb_reg_at[dst] = rc
-            if d.pdst is not None:
-                warp.pending_preds.add(d.pdst)
-                warp._wb_pred_at[d.pdst] = rc
-        return _Issue.ISSUED
-
-    def _flush_batch(self, limit: int | None = None) -> None:
-        """Materialize the deferred-value pool (``_dq``).
-
-        Groups run in ascending pc order, so within straight-line code
-        a warp's deferred instructions materialize in program order —
-        the invariant that makes flush-time source and guard reads see
-        exactly the values the reference engine saw at issue. Planned
-        issue counts bulk-apply the static per-(pc, slot-class) stat
-        plans; a stretch of consecutive pcs covering a whole decode-time
-        run with identical groups collapses further into one pass over
-        the run's combined plan (basic-block fusion).
-
-        ``limit`` flushes only the pc-ascending *prefix* (pcs <=
-        ``limit``) — sound because every warp's entries within the
-        prefix still materialize in its program order, while groups
-        above it keep pooling (and growing) for a later flush. Callers
-        pass the triggering warp's ``_dq_tail``, which bounds every
-        entry of the one warp whose values they need.
-        """
-        dq = self._dq
-        if limit is None:
-            items = sorted(dq.items())
-            dq.clear()
-        else:
-            items = sorted(
-                (pc, group) for pc, group in dq.items() if pc <= limit
-            )
-            for pc, _ in items:
-                del dq[pc]
-        stats = self.stats
-        decode = self._decode
-        runs = self._decode_cache.runs
-        bufs = self._batch_bufs
-        mask_of = self._mask_of
-        bank_acc = stats.rf_bank_accesses
-        jit = self._jit
-        i = 0
-        n = len(items)
-        while i < n:
-            pc, (warps, masks, counts) = items[i]
-            d = decode[pc]
-            if d.run_id is not None and d.run_pos == 0:
-                run = runs[d.run_id]
-                steps = run.steps
-                k = len(steps)
-                if i + k <= n:
-                    match = True
-                    for j in range(1, k):
-                        pc2, grp2 = items[i + j]
-                        if (
-                            pc2 != pc + j
-                            or grp2[0] != warps
-                            or grp2[1] != masks
-                            or grp2[2] != counts
-                        ):
-                            match = False
-                            break
-                    if match:
-                        if counts:
-                            total = 0
-                            plan = run.combined_plan
-                            for smod, cnt in counts.items():
-                                (bconf, nreads, nwrites,
-                                 nrenames, incs) = plan[smod]
-                                total += cnt
-                                if bconf:
-                                    stats.stall_bank_conflict_cycles += (
-                                        bconf * cnt
-                                    )
-                                if nreads:
-                                    stats.rf_reads += nreads * cnt
-                                if nwrites:
-                                    stats.rf_writes += nwrites * cnt
-                                if nrenames:
-                                    stats.renaming_reads += nrenames * cnt
-                                for bank, c in incs:
-                                    bank_acc[bank] += c * cnt
-                            stats.instructions += total * k
-                        if jit is not None and len(warps) < 4:
-                            # Below the 2-D gather threshold the group
-                            # path degenerates to per-warp singles, so
-                            # the fused whole-run closure wins. Warps'
-                            # banks are disjoint and runs touch no
-                            # memory, so warp-major order computes the
-                            # same values as the step-major reference.
-                            run_fn = jit.run_single[d.run_id]
-                            for w2, mi2 in zip(warps, masks):
-                                run_fn(w2, mi2, mask_of(mi2))
-                        else:
-                            for step in steps:
-                                execute_deferred_group(
-                                    step, warps, masks, bufs, mask_of
-                                )
-                        if limit is None:
-                            for w in warps:
-                                w._dq_tail = -1
-                        else:
-                            for w in warps:
-                                if w._dq_tail <= limit:
-                                    w._dq_tail = -1
-                        i += k
-                        continue
-            if counts:
-                total = 0
-                plan = d.batch_plan
-                for smod, cnt in counts.items():
-                    conflict, nreads, nwrites, nrenames, incs = plan[smod]
-                    total += cnt
-                    if conflict:
-                        stats.stall_bank_conflict_cycles += conflict * cnt
-                    if nreads:
-                        stats.rf_reads += nreads * cnt
-                    if nwrites:
-                        stats.rf_writes += nwrites * cnt
-                    if nrenames:
-                        stats.renaming_reads += nrenames * cnt
-                    for bank, c in incs:
-                        bank_acc[bank] += c * cnt
-                stats.instructions += total
-            if len(warps) == 1:
-                w = warps[0]
-                mi = masks[0]
-                value_fn = jit.value[pc] if jit is not None else None
-                if value_fn is not None:
-                    value_fn(w, mi, mask_of(mi))
-                else:
-                    execute_deferred_single(d, w, mi, mask_of(mi))
-                if limit is None or w._dq_tail <= limit:
-                    w._dq_tail = -1
-            else:
-                execute_deferred_group(d, warps, masks, bufs, mask_of)
-                if limit is None:
-                    for w in warps:
-                        w._dq_tail = -1
-                else:
-                    for w in warps:
-                        if w._dq_tail <= limit:
-                            w._dq_tail = -1
-            i += 1
-
     def _try_issue_uncached(self, warp: Warp, now: int,
                             forbid_alloc: bool = False) -> _Issue:
         """The original per-issue decode path (``REPRO_DECODE_CACHE=0``).
@@ -2335,271 +1621,6 @@ class SMCore:
         elif self._next_wake(now + 1) is None:
             self._force_spill_or_deadlock(alloc_blocked)
 
-    def _tick_batch(self) -> None:
-        """Batch-engine tick (bound alongside ``_try_issue_batch``):
-        ``_tick_vector`` minus the throttle and sampling branches the
-        binding conditions rule out, plus the scoreboard short-circuit.
-        A warp whose last scan returned SCOREBOARD is skipped outright
-        (one counter bump, no re-scan) until its recorded wake cycle
-        ``_sb_until`` arrives — the lazy-writeback ready cycle of the
-        blocking register — or, for memory blocks, until the ``mem_wb``
-        event clears ``_sb_wait``. Sound because a blocked warp's
-        outcome only changes through its own writebacks and the
-        pir/reconverge prologue is idempotent across rescans. The stall
-        accounting stays line-for-line ``_tick_vector``'s."""
-        now = self.cycle
-        events = self._events
-        if events and events[0][0] <= now:
-            schedulers = self.schedulers
-            nsched = len(schedulers)
-            heappop = heapq.heappop
-            while events and events[0][0] <= now:
-                _, _, kind, payload = heappop(events)
-                if kind == "wb":
-                    warp, inst = payload
-                    if inst.dst is not None:
-                        warp.pending_regs.discard(inst.dst)
-                    if inst.pdst is not None:
-                        warp.pending_preds.discard(inst.pdst)
-                    warp._sb_wait = False
-                elif kind == "mem_wb":
-                    warp, inst = payload
-                    if inst.dst is not None:
-                        warp.pending_regs.discard(inst.dst)
-                    if inst.pdst is not None:
-                        warp.pending_preds.discard(inst.pdst)
-                    warp._sb_wait = False
-                    warp.outstanding_mem -= 1
-                    if warp.outstanding_mem == 0:
-                        schedulers[warp.slot % nsched]._refill_dirty = True
-                else:  # pragma: no cover - defensive
-                    raise SimulationError(f"unknown event kind {kind}")
-        if self.cta_queue:
-            self._launch_ctas(now)
-
-        stats = self.stats
-        stats.ticks_executed += 1
-        skip = self.cycle_skip
-        if skip:
-            snap = (
-                stats.stall_scoreboard,
-                stats.stall_no_free_register,
-                stats.stall_throttled,
-                stats.renaming_reads,
-                stats.renaming_conflict_cycles,
-            )
-        active = WarpStatus.ACTIVE
-        issued_any = False
-        alloc_blocked = False
-        sb_stalls = 0
-        no_ready = 0
-        try_issue = self._try_issue
-        is_issued = _Issue.ISSUED
-        is_scoreboard = _Issue.SCOREBOARD
-        for sched in self.schedulers:
-            if (
-                sched.pending
-                and sched._refill_dirty
-                and len(sched.ready) < sched.ready_size
-            ):
-                sched.refill()
-            issued = False
-            ready = sched.ready
-            rr = sched._rr
-            snapshot = sched._snapshot
-            snapshot.clear()
-            if rr:
-                snapshot.extend(ready[rr:])
-                snapshot.extend(ready[:rr])
-            else:
-                snapshot.extend(ready)
-            for warp in snapshot:
-                if warp.status is not active:
-                    continue
-                if now < warp.stalled_until:
-                    continue
-                if warp._sb_wait:
-                    if now < warp._sb_until:
-                        sb_stalls += 1
-                        continue
-                    warp._sb_wait = False
-                outcome = try_issue(warp, now)
-                if outcome is is_issued:
-                    try:
-                        sched._rr = (ready.index(warp) + 1) % len(ready)
-                    except ValueError:
-                        sched.issued(warp)
-                    stats.issued += 1
-                    issued = True
-                    break
-                if outcome is is_scoreboard:
-                    sb_stalls += 1
-                    warp._sb_wait = True
-                    if warp._sb_until < _SB_INF:
-                        self._sb_wakeups.add(warp)
-                else:
-                    stats.stall_no_free_register += 1
-                    alloc_blocked = True
-            if not issued:
-                no_ready += 1
-            issued_any = issued_any or issued
-        stats.issue_slots += len(self.schedulers)
-        if no_ready:
-            stats.stall_no_ready_warp += no_ready
-        if sb_stalls:
-            stats.stall_scoreboard += sb_stalls
-
-        self.cycle = now + 1
-        if issued_any:
-            self._alloc_fail_streak = 0
-            return
-        if alloc_blocked:
-            self._alloc_fail_streak += 1
-            if self._alloc_fail_streak >= SPILL_TRIGGER_CYCLES:
-                if self._maybe_spill(now):
-                    return
-        if skip:
-            self._skip_ahead(now, alloc_blocked, snap, None)
-        elif self._next_wake(now + 1) is None:
-            self._force_spill_or_deadlock(alloc_blocked)
-
-    def _tick_jit(self) -> None:
-        """Trace-JIT tick (``REPRO_TRACE_JIT`` over the batch engine):
-        ``_tick_batch`` with the issue call routed through the per-pc
-        compiled closures (``repro.sim.jit``). The pir/reconverge
-        prologue of ``_try_issue_batch`` is hoisted inline so the
-        warp's current pc can select a closure; pcs outside any run —
-        and closures that bail (unmapped renaming entry, off-bank
-        state) — fall back to the interpreter, which re-runs its own
-        idempotent prologue. Everything else is line-for-line
-        ``_tick_batch``."""
-        now = self.cycle
-        events = self._events
-        if events and events[0][0] <= now:
-            schedulers = self.schedulers
-            nsched = len(schedulers)
-            heappop = heapq.heappop
-            while events and events[0][0] <= now:
-                _, _, kind, payload = heappop(events)
-                if kind == "wb":
-                    warp, inst = payload
-                    if inst.dst is not None:
-                        warp.pending_regs.discard(inst.dst)
-                    if inst.pdst is not None:
-                        warp.pending_preds.discard(inst.pdst)
-                    warp._sb_wait = False
-                elif kind == "mem_wb":
-                    warp, inst = payload
-                    if inst.dst is not None:
-                        warp.pending_regs.discard(inst.dst)
-                    if inst.pdst is not None:
-                        warp.pending_preds.discard(inst.pdst)
-                    warp._sb_wait = False
-                    warp.outstanding_mem -= 1
-                    if warp.outstanding_mem == 0:
-                        schedulers[warp.slot % nsched]._refill_dirty = True
-                else:  # pragma: no cover - defensive
-                    raise SimulationError(f"unknown event kind {kind}")
-        if self.cta_queue:
-            self._launch_ctas(now)
-
-        stats = self.stats
-        stats.ticks_executed += 1
-        skip = self.cycle_skip
-        if skip:
-            snap = (
-                stats.stall_scoreboard,
-                stats.stall_no_free_register,
-                stats.stall_throttled,
-                stats.renaming_reads,
-                stats.renaming_conflict_cycles,
-            )
-        active = WarpStatus.ACTIVE
-        issued_any = False
-        alloc_blocked = False
-        sb_stalls = 0
-        no_ready = 0
-        try_issue = self._try_issue
-        jit_issue = self._jit.issue
-        is_issued = _Issue.ISSUED
-        is_scoreboard = _Issue.SCOREBOARD
-        for sched in self.schedulers:
-            if (
-                sched.pending
-                and sched._refill_dirty
-                and len(sched.ready) < sched.ready_size
-            ):
-                sched.refill()
-            issued = False
-            ready = sched.ready
-            rr = sched._rr
-            snapshot = sched._snapshot
-            snapshot.clear()
-            if rr:
-                snapshot.extend(ready[rr:])
-                snapshot.extend(ready[:rr])
-            else:
-                snapshot.extend(ready)
-            for warp in snapshot:
-                if warp.status is not active:
-                    continue
-                if now < warp.stalled_until:
-                    continue
-                if warp._sb_wait:
-                    if now < warp._sb_until:
-                        sb_stalls += 1
-                        continue
-                    warp._sb_wait = False
-                stack = warp.stack
-                if len(stack._stack) > 1:
-                    stack.maybe_reconverge()
-                top = stack._stack[-1]
-                closure = jit_issue[top.pc]
-                if closure is not None:
-                    outcome = closure(self, warp, now, top)
-                    if outcome is None:
-                        outcome = try_issue(warp, now, False, top)
-                else:
-                    outcome = try_issue(warp, now, False, top)
-                if outcome is is_issued:
-                    try:
-                        sched._rr = (ready.index(warp) + 1) % len(ready)
-                    except ValueError:
-                        sched.issued(warp)
-                    stats.issued += 1
-                    issued = True
-                    break
-                if outcome is is_scoreboard:
-                    sb_stalls += 1
-                    warp._sb_wait = True
-                    if warp._sb_until < _SB_INF:
-                        self._sb_wakeups.add(warp)
-                else:
-                    stats.stall_no_free_register += 1
-                    alloc_blocked = True
-            if not issued:
-                no_ready += 1
-            issued_any = issued_any or issued
-        stats.issue_slots += len(self.schedulers)
-        if no_ready:
-            stats.stall_no_ready_warp += no_ready
-        if sb_stalls:
-            stats.stall_scoreboard += sb_stalls
-
-        self.cycle = now + 1
-        if issued_any:
-            self._alloc_fail_streak = 0
-            return
-        if alloc_blocked:
-            self._alloc_fail_streak += 1
-            if self._alloc_fail_streak >= SPILL_TRIGGER_CYCLES:
-                if self._maybe_spill(now):
-                    return
-        if skip:
-            self._skip_ahead(now, alloc_blocked, snap, None)
-        elif self._next_wake(now + 1) is None:
-            self._force_spill_or_deadlock(alloc_blocked)
-
     def _spilled_pending(self) -> bool:
         return self._spilled_count > 0
 
@@ -2633,29 +1654,6 @@ class SMCore:
             if stale is not None:
                 for warp in stale:
                     wakeups.discard(warp)
-        # Batch engine: scoreboard blocks on fixed-latency writebacks
-        # have no heap event — their wake cycles live on the blocked
-        # warps (``_sb_until``). Empty for the other engines.
-        sb_wakeups = self._sb_wakeups
-        if sb_wakeups:
-            stale = None
-            for warp in sb_wakeups:
-                until = warp._sb_until
-                if (
-                    not warp._sb_wait
-                    or until < nxt
-                    or warp.status is WarpStatus.FINISHED
-                ):
-                    if stale is None:
-                        stale = []
-                    stale.append(warp)
-                elif warp.status is WarpStatus.ACTIVE and (
-                    target is None or until < target
-                ):
-                    target = until
-            if stale is not None:
-                for warp in stale:
-                    sb_wakeups.discard(warp)
         return target
 
     def _skip_ahead(self, now: int, alloc_blocked: bool,
@@ -2743,11 +1741,6 @@ class SMCore:
                     f"simulation exceeded {max_cycles} cycles"
                 )
             self.tick()
-        if self._dq:
-            # Batch engine: exits flush the pool, so this only fires on
-            # unusual final-instruction shapes — but the values must
-            # land before functional state is read back.
-            self._flush_batch()
         self._process_events(self.cycle)
         self.regfile.finalize(self.cycle)
         self.stats.cycles = self.cycle

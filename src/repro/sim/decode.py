@@ -75,14 +75,9 @@ class DecodedInst:
         "needs_wb", "target_pc", "reconv_pc",
         # shared operand-binding plan (kernel scope; see _bind_rows)
         "bind_max_reg", "bind_max_pred",
-        # cross-warp batch engine (REPRO_WARP_BATCH; see core.py)
-        "deferrable", "batch2d", "flushes_pool",
-        "batch_plan", "wb_off_by_slotmod",
-        "run_id", "run_pos",
     )
 
-    def __init__(self, inst, num_banks: int, threshold: int,
-                 config: GPUConfig | None = None):
+    def __init__(self, inst, num_banks: int, threshold: int):
         info = opcode_info(inst.opcode)
         self.inst = inst
         self.pc = inst.pc
@@ -184,118 +179,11 @@ class DecodedInst:
         preds = [p for p in (self.guard_preg, inst.pdst) if p is not None]
         self.bind_max_pred = max(preds) if preds else -1
 
-        # --- cross-warp batch engine facts (REPRO_WARP_BATCH) ---------
-        # ``deferrable`` marks instructions whose *timing* is fully
-        # static per (pc, slot class): plain ALU/SFU/SETP work with no
-        # control, memory or mask side effects. Their value execution
-        # can lag issue and run batched across warps (core._flush_batch)
-        # because nothing reads their results until a flush point.
-        self.deferrable = self.exec_kind in (EXEC_ALU, EXEC_SETP)
-        # S2R reads per-warp identity (tids/ctaid/...), so it executes
-        # per warp even inside a batch flush.
-        self.batch2d = self.deferrable and inst.opcode is not Opcode.S2R
-        # Instructions whose issue path reads register/predicate
-        # *values*: any guarded non-deferrable instruction (the guard
-        # combine), memory addresses/data, and EXIT (a finishing warp's
-        # final state must be materialized). They drain the deferred
-        # pool before executing.
-        self.flushes_pool = (
-            (self.guard_preg is not None and not self.deferrable)
-            or self.exec_kind in (EXEC_LOAD, EXEC_STORE)
-            or self.is_exit
-        )
-        # Per-slot-class issue plan: the stat deltas of the flags-mode
-        # register-access stage that are *static* per (pc, slot class),
-        # precomputed under the canonical-bank assumption (no
-        # allocation fallbacks — the issue path checks
-        # ``warp._offbank`` before using the plan). The dynamic parts —
-        # the destination's renaming-table lookup, the lookup-port
-        # conflict, and allocation bookkeeping — stay inline in the
-        # issue path, so a scan that fails on ALLOC leaves exactly the
-        # reference engine's stat deltas. Shape per slot class:
-        # (conflict_extra, n_rf_reads, n_rf_writes, n_renaming_reads,
-        # bank_incs) with ``bank_incs`` a tuple of (bank, count) pairs
-        # over all operand accesses.
-        self.batch_plan = None
-        self.wb_off_by_slotmod = None
-        if config is not None and self.deferrable:
-            plans = []
-            wb_offs = []
-            n_writes = 0 if inst.dst is None else 1
-            n_renames = len(self.above_srcs)
-            n_reads = len(self.below_srcs) + len(self.above_srcs)
-            latency = (
-                config.sfu_latency if self.is_sfu else config.alu_latency
-            )
-            for slot in range(num_banks):
-                src_banks = [
-                    (reg + slot) % num_banks
-                    for reg in self.below_srcs + self.above_srcs
-                ]
-                conflict = 0
-                if len(src_banks) > 1:
-                    conflict = len(src_banks) - len(set(src_banks))
-                accesses = list(src_banks)
-                if inst.dst is not None:
-                    accesses.append((inst.dst + slot) % num_banks)
-                incs: dict[int, int] = {}
-                for bank in accesses:
-                    incs[bank] = incs.get(bank, 0) + 1
-                plans.append((
-                    conflict, n_reads, n_writes, n_renames,
-                    tuple(sorted(incs.items())),
-                ))
-                wb_offs.append(latency + conflict)
-            self.batch_plan = tuple(plans)
-            self.wb_off_by_slotmod = tuple(wb_offs)
-        # Basic-block run membership, filled by build_decode_cache once
-        # every entry exists (a run is a maximal stretch of consecutive
-        # deferrable instructions).
-        self.run_id = None
-        self.run_pos = 0
-
-
-class BlockRun:
-    """One maximal straight-line stretch of deferrable instructions.
-
-    The batch engine's second tier: a run is the unit the flush loop
-    recognizes when several warps carry identical deferred slices of
-    the same basic block, letting it execute the whole stretch through
-    one precompiled step list (``steps``) with the per-slot-class stat
-    deltas summed once (``combined_plan``) instead of re-dispatched
-    per pc.
-    """
-
-    __slots__ = ("start_pc", "steps", "combined_plan")
-
-    def __init__(self, start_pc: int, steps: list[DecodedInst],
-                 num_banks: int):
-        self.start_pc = start_pc
-        self.steps = steps
-        combined = []
-        for slot in range(num_banks):
-            bank_conf = reads = writes = renames = 0
-            incs: dict[int, int] = {}
-            for d in steps:
-                c, r, w, ren, pairs = d.batch_plan[slot]
-                bank_conf += c
-                reads += r
-                writes += w
-                renames += ren
-                for bank, count in pairs:
-                    incs[bank] = incs.get(bank, 0) + count
-            combined.append((
-                bank_conf, reads, writes, renames,
-                tuple(sorted(incs.items())),
-            ))
-        self.combined_plan = tuple(combined)
-
 
 class DecodeCache:
     """One kernel's decoded instructions plus the key they match."""
 
-    __slots__ = ("entries", "num_banks", "threshold", "mode", "runs",
-                 "jit")
+    __slots__ = ("entries", "num_banks", "threshold", "mode")
 
     def __init__(self, entries: list[DecodedInst], num_banks: int,
                  threshold: int, mode: str):
@@ -303,45 +191,6 @@ class DecodeCache:
         self.num_banks = num_banks
         self.threshold = threshold
         self.mode = mode
-        # Trace-JIT program (REPRO_TRACE_JIT; see repro.sim.jit), built
-        # lazily by the first core that wants it. Hanging it off the
-        # cache ties closure lifetime to decode lifetime: a rebuilt
-        # cache can never serve stale closures.
-        self.jit = None
-        # Basic-block fusion runs (batch engine tier 2): maximal
-        # stretches of consecutive deferrable instructions with issue
-        # plans. Entries outside any run keep ``run_id = None``. Runs
-        # also split at branch-target leaders so a jump can never land
-        # mid-run — required by the trace JIT, whose whole-run closures
-        # assume entry at ``start_pc`` (stats-neutral for the batch
-        # engine: ``combined_plan`` is additive over steps).
-        leaders = {
-            e.target_pc for e in entries
-            if e.is_branch and e.target_pc is not None
-        }
-        self.runs: list[BlockRun] = []
-        start = None
-        for pc, entry in enumerate(entries):
-            if entry.deferrable and entry.batch_plan is not None:
-                if start is not None and pc in leaders:
-                    if pc - start >= 2:
-                        self._seal_run(entries[start:pc], start)
-                    start = pc
-                elif start is None:
-                    start = pc
-                continue
-            if start is not None and pc - start >= 2:
-                self._seal_run(entries[start:pc], start)
-            start = None
-        if start is not None and len(entries) - start >= 2:
-            self._seal_run(entries[start:], start)
-
-    def _seal_run(self, steps: list[DecodedInst], start: int) -> None:
-        run_id = len(self.runs)
-        for pos, entry in enumerate(steps):
-            entry.run_id = run_id
-            entry.run_pos = pos
-        self.runs.append(BlockRun(start, steps, self.num_banks))
 
     def matches(self, kernel: Kernel, num_banks: int, threshold: int,
                 mode: str) -> bool:
@@ -370,7 +219,7 @@ def build_decode_cache(kernel: Kernel, config: GPUConfig, threshold: int,
     finalized (PCs assigned, reconvergence points resolved).
     """
     entries = [
-        DecodedInst(inst, config.num_banks, threshold, config)
+        DecodedInst(inst, config.num_banks, threshold)
         for inst in kernel.instructions
     ]
     return DecodeCache(entries, config.num_banks, threshold, mode)

@@ -323,187 +323,6 @@ def execute_decoded_vector(d, warp, gmem) -> int | None:
     return None
 
 
-# --- cross-warp batched execution (REPRO_WARP_BATCH) -------------------------
-# The batch engine (see core._flush_batch and docs/INTERNALS.md,
-# "Cross-warp batching") defers the *value* computation of ALU/SETP
-# instructions at issue and materializes them later, grouped by pc
-# across warps: the source rows of every warp in a group stack into
-# (group × lanes) planes and the out-parameter handler runs once in
-# 2-D. The handlers are shape-agnostic — they only see same-shaped
-# arrays plus the scratch attributes below — so the 1-D per-warp
-# contract carries over unchanged.
-
-
-class BatchContext:
-    """Duck-typed ``warp`` stand-in for 2-D batched ALU handlers.
-
-    Multi-step handlers (IMAD, SEL, RCP, SQRT) stage through
-    ``warp._scratch2`` / ``_bscratch`` / ``_fscratch``; in a batched
-    call those attributes must be (group × lanes) planes instead of one
-    warp's rows. S2R is the only handler reading real warp identity and
-    never batches (``DecodedInst.batch2d`` is False for it).
-    """
-
-    __slots__ = ("_scratch2", "_bscratch", "_fscratch")
-
-    def __init__(self, scratch2, bscratch, fscratch):
-        self._scratch2 = scratch2
-        self._bscratch = bscratch
-        self._fscratch = fscratch
-
-
-class BatchBuffers:
-    """Preallocated (max_warps × lanes) staging planes for batch flushes.
-
-    One instance per core; every group flushed re-slices the same
-    storage to its group size, so the flush hot path allocates nothing.
-    """
-
-    __slots__ = ("src0", "src1", "src2", "out", "bout", "mbuf", "gbuf",
-                 "_ctx", "_ctx_cache")
-
-    def __init__(self, max_warps: int, warp_size: int):
-        shape = (max_warps, warp_size)
-        self.src0 = np.zeros(shape, dtype=np.int64)
-        self.src1 = np.zeros(shape, dtype=np.int64)
-        self.src2 = np.zeros(shape, dtype=np.int64)
-        self.out = np.zeros(shape, dtype=np.int64)
-        self.bout = np.zeros(shape, dtype=bool)
-        self.mbuf = np.zeros(shape, dtype=bool)
-        self.gbuf = np.zeros(shape, dtype=bool)
-        self._ctx = BatchContext(
-            np.zeros(shape, dtype=np.int64),
-            np.zeros(shape, dtype=bool),
-            np.zeros(shape, dtype=np.float64),
-        )
-        self._ctx_cache: dict[int, BatchContext] = {}
-
-    def ctx(self, m: int) -> BatchContext:
-        ctx = self._ctx_cache.get(m)
-        if ctx is None:
-            base = self._ctx
-            ctx = BatchContext(
-                base._scratch2[:m], base._bscratch[:m], base._fscratch[:m]
-            )
-            self._ctx_cache[m] = ctx
-        return ctx
-
-
-def execute_deferred_single(d, warp, mask_int, mask_arr) -> None:
-    """Materialize one deferred ALU/SETP value for one warp.
-
-    ``mask_int`` / ``mask_arr`` are the warp's active mask *captured at
-    issue time* — reconvergence may have changed the live mask since.
-    Guard predicates are re-read here instead: the flush runs a warp's
-    deferred instructions in program order before any of their readers,
-    so the guard row holds exactly the value the reference engine saw
-    at issue.
-    """
-    entry = warp._vec_ops.get(d.pc)
-    if entry is None:
-        entry = _bind_rows(d, warp)
-    src_rows, dst_row, guard_row, pdst_row = entry
-    if guard_row is None:
-        full = mask_int == warp.stack.full_mask
-        mask = mask_arr
-    else:
-        full = False
-        mask = warp._gscratch
-        if d.guard_negated:
-            np.greater(mask_arr, guard_row, out=mask)
-        else:
-            np.logical_and(mask_arr, guard_row, out=mask)
-    if d.exec_kind == EXEC_ALU:
-        if full:
-            d.exec_out(d.inst, src_rows, warp, dst_row)
-        else:
-            scratch = warp._scratch
-            d.exec_out(d.inst, src_rows, warp, scratch)
-            np.copyto(dst_row, scratch, where=mask)
-        return
-    # EXEC_SETP
-    rhs = d.setp_imm if d.setp_imm is not None else src_rows[1]
-    if full:
-        d.setp_cmp(src_rows[0], rhs, out=pdst_row)
-    else:
-        stage = warp._bscratch
-        d.setp_cmp(src_rows[0], rhs, out=stage)
-        np.copyto(pdst_row, stage, where=mask)
-
-
-def execute_deferred_group(d, warps, mask_ints, bufs, mask_of) -> None:
-    """Materialize one deferred (pc, group) — the 2-D batched flush.
-
-    Source rows of all ``m`` warps stack into (m × lanes) planes of
-    ``bufs`` and the instruction executes once; results scatter back
-    per warp under each warp's captured mask (combined with its guard
-    row when guarded). Small groups, and S2R, take the per-warp single
-    path: stacking costs ~2 row copies per warp up front, so the fused
-    op only amortizes once several warps share the pc.
-    """
-    m = len(warps)
-    if m < 4 or not d.batch2d:
-        for warp, mask_int in zip(warps, mask_ints):
-            execute_deferred_single(d, warp, mask_int, mask_of(mask_int))
-        return
-
-    entries = []
-    for warp in warps:
-        entry = warp._vec_ops.get(d.pc)
-        if entry is None:
-            entry = _bind_rows(d, warp)
-        entries.append(entry)
-
-    nsrc = len(d.srcs)
-    planes = (bufs.src0, bufs.src1, bufs.src2)
-    srcs2 = []
-    for j in range(nsrc):
-        plane = planes[j][:m]
-        for i, entry in enumerate(entries):
-            plane[i] = entry[0][j]
-        srcs2.append(plane)
-
-    guarded = d.guard_preg is not None
-    all_full = not guarded and all(
-        mask_int == warp.stack.full_mask
-        for warp, mask_int in zip(warps, mask_ints)
-    )
-    mbuf = None
-    if not all_full:
-        mbuf = bufs.mbuf[:m]
-        for i, mask_int in enumerate(mask_ints):
-            mbuf[i] = mask_of(mask_int)
-        if guarded:
-            gbuf = bufs.gbuf[:m]
-            for i, entry in enumerate(entries):
-                gbuf[i] = entry[2]
-            if d.guard_negated:
-                np.greater(mbuf, gbuf, out=mbuf)
-            else:
-                np.logical_and(mbuf, gbuf, out=mbuf)
-
-    if d.exec_kind == EXEC_ALU:
-        out2 = bufs.out[:m]
-        d.exec_out(d.inst, srcs2, bufs.ctx(m), out2)
-        if all_full:
-            for i, entry in enumerate(entries):
-                np.copyto(entry[1], out2[i])
-        else:
-            for i, entry in enumerate(entries):
-                np.copyto(entry[1], out2[i], where=mbuf[i])
-        return
-    # EXEC_SETP
-    rhs = d.setp_imm if d.setp_imm is not None else srcs2[1]
-    bout2 = bufs.bout[:m]
-    d.setp_cmp(srcs2[0], rhs, out=bout2)
-    if all_full:
-        for i, entry in enumerate(entries):
-            np.copyto(entry[3], bout2[i])
-    else:
-        for i, entry in enumerate(entries):
-            np.copyto(entry[3], bout2[i], where=mbuf[i])
-
-
 #: ``DecodedInst.exec_kind`` classes, mirrored from repro.sim.decode
 #: (defined here to avoid an import cycle; decode imports this module).
 EXEC_ALU = 0

@@ -67,31 +67,6 @@ class Warp:
         self._mask_arr: np.ndarray | None = None
 
         self.last_issue_cycle = -1
-        # Cross-warp batch engine (REPRO_WARP_BATCH) bookkeeping:
-        #: scoreboard short-circuit — set when an issue scan returned
-        #: SCOREBOARD; lets the tick loop skip re-scanning the warp
-        #: until ``_sb_until`` (ALU/SETP writebacks, known at issue) or
-        #: a memory writeback event clears it.
-        self._sb_wait = False
-        #: first cycle the scoreboard outcome can change when blocked
-        #: on a lazily-cleared writeback (see ``_wb_reg_at``).
-        self._sb_until = 0
-        #: Lazy scoreboard clears: ``reg -> ready cycle`` for in-flight
-        #: fixed-latency writebacks (ALU/SETP/SFU/shared loads). The
-        #: batch engine skips the writeback heap event for these; the
-        #: scoreboard check clears ``pending_regs`` entries whose ready
-        #: cycle has passed. Global loads keep their ``mem_wb`` events
-        #: (outstanding-memory bookkeeping) and have no entry here.
-        self._wb_reg_at: dict[int, int] = {}
-        self._wb_pred_at: dict[int, int] = {}
-        #: highest pc currently sitting in the core's deferred-value
-        #: pool for this warp (-1 when none); a branch back to (or
-        #: before) it forces a flush so re-execution can't double-defer.
-        self._dq_tail = -1
-        #: number of live physical registers NOT on their compiler bank
-        #: (allocation fallbacks); the batch fast path requires 0 so
-        #: its static per-slot bank plans stay exact.
-        self._offbank = 0
         #: Front-end bubble: the warp cannot issue before this cycle
         #: (branch redirect through the extra renaming stage, 7.1).
         self.stalled_until = 0
@@ -216,9 +191,10 @@ class VectorWarp(Warp):
     can never be reused.
 
     Scratch rows (:attr:`_scratch`, :attr:`_scratch2`,
-    :attr:`_fscratch`, :attr:`_bscratch`, :attr:`_gscratch`) are owned
-    staging buffers for the out-parameter ALU handlers and fused guard
-    masks in :mod:`repro.sim.execute`; they make the vector hot path
+    :attr:`_fscratch`, :attr:`_bscratch`, :attr:`_gscratch`,
+    :attr:`_mscratch`) are owned staging buffers for the out-parameter
+    ALU handlers, fused guard masks and memory loads in
+    :mod:`repro.sim.execute`; they make the vector hot path
     allocation-free.
     """
 

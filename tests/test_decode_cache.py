@@ -8,9 +8,8 @@ that equivalence across workloads and register-management modes, plus
 the structural invariants of the decoded records themselves.
 
 The ``ticks_executed`` / ``skipped_cycles`` engine diagnostics are
-exempt (the convention of test_cycle_skip.py / test_warp_batch.py):
-the batch engine only binds on top of the decode cache, so toggling
-``REPRO_DECODE_CACHE`` also changes how far the tick loop can jump.
+exempt (the convention of test_cycle_skip.py / test_vector_lanes.py):
+they record how the tick loop ran, not what it simulated.
 """
 
 from __future__ import annotations

@@ -11,22 +11,30 @@ The serving contract under test:
 * served responses are bit-identical per ``SimStats`` field to a
   direct uncached run — the service may never change an answer;
 * failures propagate to every coalesced waiter as error responses and
-  never poison the key or leak a pin.
+  never poison the key or leak a pin;
+* the daemon keeps serving after an over-long request line and after
+  its pool worker dies.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import dataclasses
 import gc
+import multiprocessing.connection
+import os
+import signal
 import threading
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.analysis.runners import run_flow, spec_fingerprint
 from repro.arch import GPUConfig
 from repro.cache import ResultCache, swap_cache
+from repro.cache.store import MISS
 from repro.experiments.planner import SweepPlan
 from repro.service import loadgen, protocol
 from repro.service.client import (
@@ -320,6 +328,45 @@ class TestSingleFlight:
 
         asyncio.run(scenario())
 
+    def test_broken_pool_fails_each_waiter_once_and_is_dropped(self):
+        class BreakingPool:
+            def __init__(self):
+                self.future = concurrent.futures.Future()
+                self.shut_down = False
+
+            def submit(self, fn, *args):
+                return self.future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                self.shut_down = True
+
+        async def scenario():
+            daemon = SimulationDaemon(cache=ResultCache(), jobs=1)
+            pool = daemon._executor = BreakingPool()
+            request = protocol.spec_to_request(_spec())
+            tasks = [
+                asyncio.create_task(daemon.handle_request(dict(request)))
+                for _ in range(3)
+            ]
+            await asyncio.sleep(0)
+            assert daemon.metrics.coalesced == 2
+            pool.future.set_exception(BrokenProcessPool("worker died"))
+            responses = await asyncio.gather(*tasks)
+            assert [r["ok"] for r in responses] == [False] * 3
+            assert all(
+                r["error"] == "BrokenProcessPool: worker died"
+                for r in responses
+            )
+            assert daemon.metrics.errors == 3
+            # The broken pool is gone; the next miss builds a new one.
+            assert daemon._executor is None and pool.shut_down
+            assert not daemon._inflight
+            assert not daemon.cache.pinned()
+            key = protocol.service_key(protocol.request_to_spec(request))
+            assert daemon.cache.get(key) is MISS
+
+        asyncio.run(scenario())
+
     def test_bad_requests_become_error_responses(self):
         async def scenario():
             daemon = SimulationDaemon(cache=ResultCache(), jobs=1)
@@ -407,6 +454,78 @@ class TestEndToEnd:
         finally:
             thread.join(timeout=30)
         assert not thread.is_alive()
+
+
+class TestFaults:
+    """A served daemon survives malformed input and a dead worker."""
+
+    def _serve(self, tmp_path):
+        address = str(tmp_path / "svc.sock")
+        daemon = SimulationDaemon(
+            cache=ResultCache(directory=tmp_path / "cache"), jobs=1
+        )
+        ready = threading.Event()
+        thread = threading.Thread(
+            target=asyncio.run,
+            args=(daemon.run(address, ready=ready.set),),
+            daemon=True,
+        )
+        thread.start()
+        assert ready.wait(timeout=30)
+        return daemon, address, thread
+
+    @pytest.mark.parametrize("size", (70_000, 1_000_000))
+    def test_oversized_line_gets_an_error_reply(self, tmp_path, size):
+        # 70 KB arrives with its newline in one read; 1 MB overruns the
+        # buffer before the newline shows up.
+        daemon, address, thread = self._serve(tmp_path)
+        try:
+            with ServiceClient.connect(address) as client:
+                with pytest.raises(ServiceError, match="longer than"):
+                    client.request({"op": "ping", "pad": "x" * size})
+                assert client.ping()["pong"] is True
+                assert client.stats()["errors"] == 1
+                client.shutdown()
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_pool_is_rebuilt_after_its_worker_dies(self, tmp_path):
+        spec = _spec(name="gaussian")
+        previous = swap_cache(ResultCache(enabled=False))
+        try:
+            direct = protocol.response_payload("baseline", run_flow(spec))
+        finally:
+            swap_cache(previous)
+        daemon, address, thread = self._serve(tmp_path)
+        try:
+            with ServiceClient.connect(address) as client:
+                warm = client.submit(protocol.spec_to_request(_spec()))
+                assert warm["served"] == "executed"
+                (worker,) = daemon._executor._processes.values()
+                os.kill(worker.pid, signal.SIGKILL)
+                assert multiprocessing.connection.wait(
+                    [worker.sentinel], timeout=30
+                )
+                request = protocol.spec_to_request(spec)
+                with pytest.raises(ServiceError, match="BrokenProcessPool"):
+                    client.submit(request)
+                served = client.submit(request)
+                assert served["served"] == "executed"
+                for field in dataclasses.fields(SimStats):
+                    assert (
+                        served["stats"][field.name]
+                        == direct["stats"][field.name]
+                    ), field.name
+                stats = client.stats()
+                assert stats["errors"] == 1
+                assert stats["executed"] == 2
+                assert stats["in_flight"] == 0
+                client.shutdown()
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not daemon.cache.pinned()
 
 
 class TestLoadgen:
