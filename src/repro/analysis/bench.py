@@ -15,10 +15,6 @@ the cycle-skipping engine (the default) and once on the strict
 per-cycle path (``cycle_skip=False``, the engine PR 2 shipped). Both
 throughputs are recorded, so ``speedup`` — the machine-independent
 ratio between them — tracks whether the skip engine keeps paying off.
-The ``flags`` mode is likewise timed twice: under the default
-struct-of-arrays lane engine and under the dict-layout reference
-(``REPRO_VECTOR_LANES=0``); ``vector_speedup`` is the within-run ratio
-between the two walls.
 
 Usage::
 
@@ -67,7 +63,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import statistics
 import sys
@@ -85,13 +80,13 @@ from repro.workloads.suite import Workload, get_workload
 #: ``*_noskip`` / ``speedup`` fields. v3 switches ``--repeat`` to
 #: best-of-N wall timing and adds the optional ``pipeline`` section
 #: (cold/warm result-cache wall clock + sweep-planner dedup ratio).
-#: v4 times the flags mode under both register-state engines
-#: (``REPRO_VECTOR_LANES``) and adds its ``*_scalar`` /
-#: ``vector_speedup`` fields. v5 and v6 timed the flags mode with the
-#: cross-warp batch engine and the trace JIT switched off
-#: (``*_nobatch`` / ``batch_speedup``, ``*_nojit`` / ``jit_speedup``);
-#: those columns were dropped with the engines, and files that still
-#: carry them validate and gate unchanged (extra fields are ignored).
+#: v4 timed the flags mode under both register-state layouts (the
+#: ``*_scalar`` columns and their ratio), v5 and v6 with the cross-warp
+#: batch engine and the trace JIT switched off (``*_nobatch`` /
+#: ``batch_speedup``, ``*_nojit`` / ``jit_speedup``); those columns
+#: were dropped with the dict-layout cached path and the engines, and
+#: files that still carry them validate and gate unchanged (extra
+#: fields are ignored).
 #: v6 also keeps the per-run wall samples (``wall_samples`` plus
 #: ``wall_stddev`` / ``wall_min`` / ``wall_median`` on every record)
 #: and times compilation with the result cache bypassed so
@@ -127,15 +122,6 @@ MODES = ("baseline", "flags", "redefine", "shrink")
 #: a clear win even on small --quick runs, where per-``simulate``
 #: setup dilutes the full-run ratio.
 GATE_SPEEDUP_FLOOR = 1.5
-
-#: Minimum flags-mode vector-engine speedup (struct-of-arrays lane
-#: engine vs. the dict-layout reference, measured within the same run)
-#: the gate accepts. This is a *non-regression* floor, not the
-#: engine's typical win: it fails only when the vector engine stops
-#: paying for itself (speedup ~1.0 would mean the fast path silently
-#: degenerated into the reference path), while staying green across
-#: noisy shared runners.
-GATE_VECTOR_SPEEDUP_FLOOR = 1.05
 
 #: Experiment sample for the pipeline benchmark: fig10 and fig14 share
 #: their all-workload virtualized runs (high dedup), fig11b and the
@@ -196,25 +182,6 @@ def _sample_fields(samples: list[float], suffix: str = "") -> dict:
         f"wall_min{suffix}": min(samples),
         f"wall_median{suffix}": statistics.median(samples),
     }
-
-
-def _time_engine_off(
-    run, repeats: int, flag: str
-) -> tuple[float, list[float]]:
-    """Best-of-``repeats`` wall time (plus the raw samples) of ``run``
-    with one engine flag (e.g. ``REPRO_VECTOR_LANES``) forced to ``0``
-    for the timed region only.
-    Cores resolve the flags at construction, inside the ``simulate``
-    call, so an env override around the call is exact."""
-    prior = os.environ.get(flag)
-    os.environ[flag] = "0"
-    try:
-        return _timed(run, repeats)
-    finally:
-        if prior is None:
-            del os.environ[flag]
-        else:
-            os.environ[flag] = prior
 
 
 def _bench_mode(
@@ -309,21 +276,6 @@ def _bench_mode(
         )
         record["speedup"] = wall_noskip / wall if wall > 0 else 0.0
         record["wall_samples_noskip"] = samples_noskip
-    if mode == "flags":
-        # The flags flow is where the vector engine binds its inlined
-        # issue/tick paths; time the dict-layout reference too so the
-        # ratio is measured within one run.
-        wall_scalar, samples_scalar = _time_engine_off(
-            run, repeats, "REPRO_VECTOR_LANES"
-        )
-        record["wall_seconds_scalar"] = wall_scalar
-        record["cycles_per_second_scalar"] = (
-            cycles / wall_scalar if wall_scalar > 0 else 0.0
-        )
-        record["vector_speedup"] = (
-            wall_scalar / wall if wall > 0 else 0.0
-        )
-        record["wall_samples_scalar"] = samples_scalar
     return record
 
 
@@ -349,7 +301,6 @@ def run_benchmark(
     for mode in MODES:
         wall = 0.0
         wall_noskip = 0.0
-        wall_scalar = 0.0
         cycles = 0
         instructions = 0
         ticks = 0
@@ -365,7 +316,6 @@ def run_benchmark(
             per_workload[workload.name] = record
             wall += record["wall_seconds"]
             wall_noskip += record.get("wall_seconds_noskip", 0.0)
-            wall_scalar += record.get("wall_seconds_scalar", 0.0)
             cycles += record["cycles"]
             instructions += record["instructions"]
             ticks += record["ticks_executed"]
@@ -390,14 +340,6 @@ def run_benchmark(
                 cycles / wall_noskip if wall_noskip > 0 else 0.0
             )
             summary["speedup"] = wall_noskip / wall if wall > 0 else 0.0
-        if mode == "flags":
-            summary["wall_seconds_scalar"] = wall_scalar
-            summary["cycles_per_second_scalar"] = (
-                cycles / wall_scalar if wall_scalar > 0 else 0.0
-            )
-            summary["vector_speedup"] = (
-                wall_scalar / wall if wall > 0 else 0.0
-            )
         modes[mode] = summary
     total_wall = sum(m["wall_seconds"] for m in modes.values())
     return {
@@ -500,14 +442,6 @@ _REQUIRED_SHRINK_FIELDS = (
     ("speedup", (int, float)),
 )
 
-#: Extra fields the flags mode must carry (v4: both register-state
-#: engines are timed).
-_REQUIRED_FLAGS_FIELDS = (
-    ("wall_seconds_scalar", (int, float)),
-    ("cycles_per_second_scalar", (int, float)),
-    ("vector_speedup", (int, float)),
-)
-
 #: Fields the optional ``pipeline`` section must carry when present.
 _REQUIRED_PIPELINE_FIELDS = (
     ("experiments", list),
@@ -562,8 +496,6 @@ def validate_bench(data: object) -> list[str]:
         required = _REQUIRED_MODE_FIELDS
         if mode == "shrink":
             required = required + _REQUIRED_SHRINK_FIELDS
-        if mode == "flags":
-            required = required + _REQUIRED_FLAGS_FIELDS
         for field, types in required:
             value = record.get(field)
             if not isinstance(value, types) or isinstance(value, bool):
@@ -716,13 +648,6 @@ def compare_bench(old: dict, new: dict) -> str:
             f"shrink speedup (skip on vs per-cycle): "
             f"old {fmt(old_speed)}  new {fmt(new_speed)}"
         )
-    old_vec = old.get("modes", {}).get("flags", {}).get("vector_speedup")
-    new_vec = new.get("modes", {}).get("flags", {}).get("vector_speedup")
-    if old_vec is not None or new_vec is not None:
-        lines.append(
-            f"flags vector-engine speedup (SoA vs dict layout): "
-            f"old {fmt(old_vec)}  new {fmt(new_vec)}"
-        )
     old_pipe = (old.get("pipeline") or {}).get("speedup")
     new_pipe = (new.get("pipeline") or {}).get("speedup")
     if old_pipe is not None or new_pipe is not None:
@@ -792,18 +717,6 @@ def gate_bench(old: dict, new: dict, pct: float) -> list[str]:
             f"gate: shrink cycle-skip speedup {speedup:.2f}x below "
             f"floor {GATE_SPEEDUP_FLOOR:.1f}x"
         )
-    # The vector engine must not regress against its own in-run
-    # dict-layout reference (gated only once the reference file carries
-    # the v4 fields, so older files keep gating cleanly).
-    if "vector_speedup" in old.get("modes", {}).get("flags", {}):
-        vector = new.get("modes", {}).get("flags", {}).get("vector_speedup")
-        if vector is None:
-            errors.append("gate: new results lack flags vector_speedup")
-        elif vector < GATE_VECTOR_SPEEDUP_FLOOR:
-            errors.append(
-                f"gate: flags vector-engine speedup {vector:.2f}x below "
-                f"floor {GATE_VECTOR_SPEEDUP_FLOOR:.2f}x"
-            )
     # The pipeline section is gated only when the reference file has
     # one (older files predate it; plain --quick runs omit it).
     if old.get("pipeline") is not None:
@@ -881,15 +794,6 @@ def _report(data: dict) -> str:
         f"shrink per-cycle path: {shrink['wall_seconds_noskip']:.2f}s "
         f"({shrink['cycles_per_second_noskip']:,.1f} cycles/s) -> "
         f"cycle skipping speeds it up {shrink['speedup']:.2f}x"
-    )
-    flags = data["modes"]["flags"]
-    lines.append(
-        f"flags dict-layout engine: {flags['wall_seconds_scalar']:.2f}s "
-        f"({flags['cycles_per_second_scalar']:,.1f} cycles/s) -> "
-        f"vector lane engine speeds it up "
-        f"{flags['vector_speedup']:.2f}x "
-        f"(wall stddev {flags['wall_stddev'] * 1000:.1f}ms over "
-        f"{flags['runs']} runs)"
     )
     lines.append(f"total wall: {data['total']['wall_seconds']:.2f}s")
     pipeline = data.get("pipeline")

@@ -6,9 +6,9 @@ A cache key must identify *everything* a result depends on:
   identically coded kernels are the same simulation);
 * the launch geometry and the full :class:`~repro.arch.GPUConfig`;
 * the simulation kwargs (``mode``, ``threshold``, wave caps, sampling);
-* the **engine fingerprint**: the ``REPRO_DECODE_CACHE`` /
-  ``REPRO_CYCLE_SKIP`` / ``REPRO_VECTOR_LANES`` environment switches
-  plus :data:`CACHE_SCHEMA_VERSION`. The engine flags are semantically
+* the **engine fingerprint**: the ``REPRO_DECODE_CACHE`` and
+  ``REPRO_CYCLE_SKIP`` environment switches plus
+  :data:`CACHE_SCHEMA_VERSION`. The engine flags are semantically
   bit-identical, but the ``ticks_executed`` / ``skipped_cycles``
   diagnostics differ between them, and a cached result must round-trip
   *every* field of a fresh run under the same flags. The tuple's shape
@@ -200,7 +200,6 @@ def engine_fingerprint(cycle_skip: bool | None = None) -> tuple:
         CACHE_SCHEMA_VERSION,
         _flag("REPRO_DECODE_CACHE"),
         bool(cycle_skip),
-        _flag("REPRO_VECTOR_LANES"),
     )
 
 

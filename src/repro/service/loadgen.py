@@ -43,6 +43,7 @@ import json
 import os
 import pathlib
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -280,7 +281,13 @@ def run_load(
 
 
 class SpawnedDaemon:
-    """A daemon subprocess on a temporary socket + cache directory."""
+    """A daemon subprocess on a temporary socket + cache directory.
+
+    The daemon starts in its own session, so its process group holds
+    the daemon and every process it forks (its pool worker included).
+    When the daemon fails to start or to shut down cleanly, the whole
+    group is killed and the daemon reaped, so no worker outlives it.
+    """
 
     def __init__(self, jobs: int = 2, max_bytes: str | None = None):
         self._tmp = tempfile.TemporaryDirectory(prefix="repro-service-")
@@ -294,13 +301,23 @@ class SpawnedDaemon:
         ]
         if max_bytes is not None:
             command += ["--max-bytes", max_bytes]
-        self._process = subprocess.Popen(command, env=dict(os.environ))
+        self._process = subprocess.Popen(
+            command, env=dict(os.environ), start_new_session=True
+        )
         try:
             wait_until_ready(self.address, timeout=60.0)
-        except Exception:
-            self._process.kill()
+        except BaseException:
+            self._kill()
             self._tmp.cleanup()
             raise
+
+    def _kill(self) -> None:
+        """SIGKILL the daemon's process group and reap the daemon."""
+        try:
+            os.killpg(self._process.pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):
+            pass  # the group is already gone
+        self._process.wait()
 
     def stop(self) -> None:
         try:
@@ -308,7 +325,7 @@ class SpawnedDaemon:
                 client.shutdown()
             self._process.wait(timeout=30.0)
         except Exception:
-            self._process.kill()
+            self._kill()
         finally:
             self._tmp.cleanup()
 

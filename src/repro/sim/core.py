@@ -45,8 +45,6 @@ from repro.sim.execute import (
     array_to_mask,
     effective_mask,
     execute,
-    execute_decoded,
-    execute_decoded_vector,
 )
 from repro.sim.memory import GlobalMemory, MemoryUnit, SharedMemory
 from repro.sim.regfile import PhysicalRegisterFile
@@ -143,12 +141,13 @@ class SMCore:
             tracer = None
             if trace_warp_slots:
                 traced = set(trace_warp_slots)
+                # The closure holds the event list, not the core, so a
+                # traced core is no reference cycle either.
+                events = self.stats.lifetime_events
 
                 def tracer(slot, arch, event, cycle, _traced=traced):
                     if slot in _traced:
-                        self.stats.lifetime_events.append(
-                            (cycle, slot, arch, event)
-                        )
+                        events.append((cycle, slot, arch, event))
 
             self.renaming = RenamingTable(
                 config, self.regfile, self.stats,
@@ -250,44 +249,28 @@ class SMCore:
                 )
             self._decode = self._decode_cache.entries
 
-        # Lane engine (see docs/INTERNALS.md, "Struct-of-arrays lane
-        # engine"): struct-of-arrays warps with in-place masked writes
-        # by default; ``REPRO_VECTOR_LANES=0`` selects the dict-backed
-        # reference layout with fresh ``np.where`` merges. Env-only,
-        # like ``REPRO_DECODE_CACHE`` — process-pool workers inherit
-        # the environment. Both engines produce bit-identical
-        # :class:`SimStats` per field.
-        env_vec = os.environ.get("REPRO_VECTOR_LANES", "1")
-        self.vector_lanes = env_vec.strip().lower() not in (
-            "0", "off", "false"
-        )
-        self._exec_decoded = (
-            execute_decoded_vector if self.vector_lanes else execute_decoded
-        )
-        # Pre-resolved issue entry point (instance attribute shadowing
-        # the method; cores are never pickled — workers rebuild them
-        # from CoreJob specs). The vector engine gets a deeply inlined
-        # issue/execute/retire frame for the tracer-less flags-mode +
-        # decode-cache combination — the configuration the lane-engine
-        # bench leg measures. Every other combination keeps the generic
-        # dispatch, whose execute stage already follows the selected
-        # lane engine via ``_exec_decoded``.
+        # Issue and tick binding (see docs/INTERNALS.md, "Fast-path
+        # binding"). The decode-cached frame is the class's own
+        # ``_try_issue`` and the rotation tick its own ``tick``, so a
+        # default core stores no bound method of itself and reference
+        # counting frees it. Seed-path cores rebind both on the
+        # instance (a reference cycle, left to the collector);
+        # greedy-then-oldest cores rebind only the tick, since their
+        # selection stays in the scheduler's candidates()/issued().
         self._underprov = config.is_underprovisioned
-        self._bank_preserving = config.bank_preserving_renaming
+        # Whether the frame inlines the renaming table's write and
+        # release: tracer-less flags mode with bank-preserving
+        # allocation, the paper's configuration.
+        self._inline_renaming = (
+            mode == "flags"
+            and self.renaming.tracer is None
+            and config.bank_preserving_renaming
+        )
         if self._decode is None:
             self._try_issue = self._try_issue_uncached
-        elif (
-            self.vector_lanes
-            and self.renaming is not None
-            and self.renaming.mode == "flags"
-            and self.renaming.tracer is None
-        ):
-            self._try_issue = self._try_issue_vector
-            if config.scheduler_policy != "gto":
-                # The round-robin candidates()/issued() pair inlines
-                # into the vector tick; greedy-then-oldest keeps the
-                # generic scheduler calls.
-                self.tick = self._tick_vector
+            self.tick = self._tick_generic
+        elif config.scheduler_policy == "gto":
+            self.tick = self._tick_generic
 
     # ------------------------------------------------------------------ events
     def _push_event(self, cycle: int, kind: str, payload: tuple) -> None:
@@ -414,7 +397,7 @@ class SMCore:
             self._free_warp_slots.pop(0)
             active = min(self.config.warp_size, threads_left)
             threads_left -= active
-            if self.vector_lanes:
+            if self._decode is not None:
                 warp = VectorWarp(
                     wslot, cta, index, self.config.warp_size, active,
                     num_regs=self.regs_per_thread,
@@ -443,6 +426,10 @@ class SMCore:
         for phys in cta.static_phys:
             self.regfile.free(phys, now)
         cta.static_phys.clear()
+        # Break the CTA <-> warp cycle: nothing reads a completed CTA's
+        # warp list, and without it reference counting frees the CTA
+        # and its warps' register banks as soon as the run drops them.
+        cta.warps.clear()
         if self.renaming is not None:
             self.renaming.forget_cta(cta.uid)
         self.resident.remove(cta)
@@ -602,16 +589,24 @@ class SMCore:
                    forbid_alloc: bool = False) -> _Issue:
         """Attempt to issue one instruction from ``warp``.
 
-        Dispatches to the decode-cached fast path when the per-kernel
-        decode cache is enabled, else to the original per-issue decode
-        path (``_try_issue_uncached``). Both paths produce bit-identical
-        :class:`SimStats`; the cached one just indexes precomputed flat
-        data instead of re-deriving it per dynamic instruction.
-        """
-        decode = self._decode
-        if decode is None:
-            return self._try_issue_uncached(warp, now, forbid_alloc)
+        The decode-cached issue frame: issue, register access, execute
+        and retire unrolled into one frame over the decoded record and
+        the warp's :class:`VectorWarp` rows, for every register mode.
+        Register access takes one of three branches:
 
+        * tracer-less flags mode with bank-preserving allocation (the
+          paper's configuration) inlines ``RenamingTable.write`` and
+          ``release`` (decided once, at construction);
+        * baseline mode reads the decoded per-slot-class bank ids,
+          through the register file cache when one is configured;
+        * any other renaming setup (redefine mode, a lifetime tracer,
+          the least-occupied-bank ablation) calls the renaming table.
+
+        Seed-path cores (``REPRO_DECODE_CACHE=0``) rebind this to
+        ``_try_issue_uncached``, the reference it must match: the
+        equivalence suites pin every :class:`SimStats` field and the
+        memory image of the two.
+        """
         stack = warp.stack
         if len(stack._stack) > 1:
             stack.maybe_reconverge()
@@ -620,6 +615,7 @@ class SMCore:
 
         # Zero-cost skip of pir flag words already in the release flag
         # cache (Section 7.2), dispatching on precomputed opcode tags.
+        decode = self._decode
         while True:
             d = decode[top.pc]
             if d.is_pir:
@@ -641,10 +637,9 @@ class SMCore:
 
         if d.is_pbr:
             stats.pbr_decoded += 1
-            if renaming is not None:
-                release = renaming.release
-                for reg in d.release_regs:
-                    release(slot, reg, now)
+            # Outside flags mode the decoded release lists are empty.
+            for reg in d.release_regs:
+                renaming.release(slot, reg, now)
             top.pc += 1
             warp.last_issue_cycle = now
             return _Issue.ISSUED
@@ -665,26 +660,52 @@ class SMCore:
 
         # Register access (the cached twin of ``_register_access``):
         # renaming-table lookup conflicts, destination mapping, source
-        # reads and bank-conflict accounting, all driven by the decoded
-        # record. Register-file read/write accounting is inlined.
+        # reads, bank-conflict accounting and compiler-directed
+        # releases. Execute reads no renaming state, so releases take
+        # effect here, once the operands are read.
         penalty = 0
         regfile = self.regfile
         bank_acc = stats.rf_bank_accesses
         regs_per_bank = regfile.regs_per_bank
-        if renaming is not None:
+        dst = d.dst
+        if self._inline_renaming:
             if d.lookup_conflict_extra:
                 stats.renaming_conflict_cycles += d.lookup_conflict_extra
             warp_map = renaming._maps[slot]
-            if d.dst is not None:
-                if forbid_alloc and d.dst_above and d.dst not in warp_map:
-                    return _Issue.FORBIDDEN
-                result = renaming.write(slot, d.dst, now)
-                if result is None:
-                    return _Issue.ALLOC
-                dst_phys, wake = result
-                if wake:
-                    penalty += wake
-                    stats.stall_wakeup_cycles += wake
+            if dst is not None:
+                if d.dst_above:
+                    if forbid_alloc and dst not in warp_map:
+                        return _Issue.FORBIDDEN
+                    stats.renaming_reads += 1
+                    dst_phys = warp_map.get(dst)
+                    if dst_phys is None:
+                        # ``RenamingTable._allocate`` unrolled: the
+                        # compiler bank is the decode cache's
+                        # precomputed ``(dst + slot) % num_banks``.
+                        result = regfile.allocate(
+                            d.dst_bank_by_slotmod[
+                                slot % regfile.num_banks
+                            ],
+                            now,
+                        )
+                        if result is None:
+                            return _Issue.ALLOC
+                        dst_phys, wake = result
+                        warp_map[dst] = dst_phys
+                        renaming._released_live[slot].discard(dst)
+                        stats.renaming_writes += 1
+                        renaming.version += 1
+                        cta_id = renaming._cta_of_warp[slot]
+                        renaming.cta_allocated[cta_id] += 1
+                        ever = renaming._ever[slot]
+                        if dst not in ever:
+                            ever.add(dst)
+                            renaming.cta_assigned[cta_id] += 1
+                        if wake:
+                            penalty += wake
+                            stats.stall_wakeup_cycles += wake
+                else:
+                    dst_phys = renaming._direct[slot][dst]
                 stats.rf_writes += 1
                 bank_acc[dst_phys // regs_per_bank] += 1
             banks: list[int] = []
@@ -716,12 +737,32 @@ class SMCore:
                 if extra:
                     stats.stall_bank_conflict_cycles += extra
                     penalty += extra
-        else:
-            rfc = self.rfc
+            # ``RenamingTable.release`` with its ``_free`` helper
+            # unrolled.
+            if d.release_list is not None:
+                threshold = renaming.threshold
+                rel_live = renaming._released_live[slot]
+                for reg in d.release_list:
+                    if reg < threshold:
+                        continue
+                    phys = warp_map.get(reg)
+                    if phys is None:
+                        stats.wasted_releases += 1
+                        continue
+                    stats.renaming_writes += 1
+                    del warp_map[reg]
+                    regfile.free(phys, now)
+                    renaming.version += 1
+                    renaming.cta_allocated[renaming._cta_of_warp[slot]] -= 1
+                    rel_live.add(reg)
+        elif renaming is None:
+            # Baseline: every architected register is pinned in its
+            # compiler bank, ``(reg + slot) % num_banks``.
             slotmod = slot % regfile.num_banks
             src_banks = d.src_banks_by_slotmod[slotmod]
+            rfc = self.rfc
             if rfc is None:
-                if d.dst is not None:
+                if dst is not None:
                     stats.rf_writes += 1
                     bank_acc[d.dst_bank_by_slotmod[slotmod]] += 1
                 if src_banks:
@@ -733,8 +774,8 @@ class SMCore:
                         stats.stall_bank_conflict_cycles += extra
                         penalty += extra
             else:
-                if d.dst is not None:
-                    evicted = rfc.write(slot, d.dst)
+                if dst is not None:
+                    evicted = rfc.write(slot, dst)
                     if evicted is not None:
                         self._mrf_writebacks(warp, [evicted])
                 banks = []
@@ -744,257 +785,43 @@ class SMCore:
                     stats.rf_reads += 1
                     bank_acc[bank] += 1
                     banks.append(bank)
-                if len(banks) > 1:
-                    extra = len(banks) - len(set(banks))
-                    if extra:
-                        stats.stall_bank_conflict_cycles += extra
-                        penalty += extra
-
-        taken = self._exec_decoded(d, warp, self.gmem)
-        stats.instructions += 1
-        warp.last_issue_cycle = now
-
-        if renaming is not None and d.release_list is not None:
-            release = renaming.release
-            for reg in d.release_list:
-                release(slot, reg, now)
-
-        self._retire_cached(warp, d, taken, penalty, now)
-        return _Issue.ISSUED
-
-    def _retire_cached(self, warp: Warp, d: DecodedInst, taken: int | None,
-                       penalty: int, now: int) -> None:
-        """Decode-cached twin of ``_retire``."""
-        config = self.config
-        stats = self.stats
-
-        if d.is_branch:
-            stats.branches += 1
-            stack = warp.stack
-            fallthrough = d.pc + 1
-            if d.guard_preg is None:
-                stack.pc = d.target_pc
-            else:
-                if d.reconv_pc is None:
-                    raise SimulationError(
-                        f"conditional branch at pc {d.pc} has no "
-                        "reconvergence point (kernel not compiled?)"
-                    )
-                if stack.branch(taken, d.target_pc, fallthrough,
-                                d.reconv_pc):
-                    stats.divergent_branches += 1
-            if self.renaming is not None and stack.pc != fallthrough:
-                # The extra renaming pipeline stage (7.1) deepens the
-                # front end, so a taken-branch redirect costs one more
-                # bubble cycle than the baseline.
-                warp.stall_front_end(
-                    now + 1 + config.renaming_extra_cycles,
-                    self._stalled_wakeups,
-                )
-            return
-
-        if d.is_exit:
-            exit_mask = array_to_mask(effective_mask(warp, d.inst))
-            if warp.stack.exit_lanes(exit_mask):
-                self._finish_warp(warp, now)
-            elif warp.pc == d.pc:
-                warp.pc += 1
-            return
-
-        if d.is_barrier:
-            stats.barriers += 1
-            warp.pc += 1
-            self._arrive_barrier(
-                warp, self.schedulers[warp.slot % len(self.schedulers)]
-            )
-            return
-
-        warp.pc += 1
-
-        if d.is_global_mem:
-            stats.memory_instructions += 1
-            complete = self.mem_unit.request(now) + penalty
-            if not d.is_store:
-                warp.scoreboard_mark(d.inst)
-                warp.outstanding_mem += 1
-                self._push_event(complete, "mem_wb", (warp, d.inst))
-                self.schedulers[warp.slot % len(self.schedulers)].demote(
-                    warp
-                )
-                if self.rfc is not None:
-                    # The RFC only backs active warps: demotion flushes
-                    # the warp's dirty lines to the MRF ([20]).
-                    self._mrf_writebacks(
-                        warp, self.rfc.flush_warp(warp.slot)
-                    )
-            return
-
-        if d.is_shared_mem:
-            stats.memory_instructions += 1
-            if not d.is_store:
-                warp.scoreboard_mark(d.inst)
-                self._push_event(
-                    now + config.shared_mem_latency + penalty,
-                    "wb", (warp, d.inst),
-                )
-            return
-
-        if d.needs_wb:
-            warp.scoreboard_mark(d.inst)
-            latency = (
-                config.sfu_latency if d.is_sfu else config.alu_latency
-            )
-            self._push_event(now + latency + penalty, "wb", (warp, d.inst))
-
-    def _try_issue_vector(self, warp: Warp, now: int,
-                          forbid_alloc: bool = False) -> _Issue:
-        """Struct-of-arrays issue fast path (``REPRO_VECTOR_LANES=1``).
-
-        The vector engine's twin of ``_try_issue`` with the execute
-        stage (``execute_decoded_vector``), the retire stage
-        (``_retire_cached``) and the flags-mode fast paths of
-        ``RenamingTable.write`` / ``release`` unrolled into one frame.
-        Bound as the core's issue entry point only for tracer-less
-        flags-mode cores with a decode cache, so it may assume
-        ``renaming`` exists, ``mode == "flags"`` and ``rfc is None``.
-        Semantics are line-for-line those of the generic path; the
-        equivalence grids pin every :class:`SimStats` field against the
-        dict engine.
-        """
-        stack = warp.stack
-        if len(stack._stack) > 1:
-            stack.maybe_reconverge()
-        stats = self.stats
-        top = stack._stack[-1]
-
-        decode = self._decode
-        while True:
-            d = decode[top.pc]
-            if d.is_pir:
-                flag_cache = self.flag_cache
-                if flag_cache is not None and flag_cache.probe(d.pc):
-                    stats.pir_skipped += 1
-                    top.pc += 1
-                    continue
-                if flag_cache is not None:
-                    flag_cache.install(d.pc)
-                stats.pir_decoded += 1
-                top.pc += 1
-                warp.last_issue_cycle = now
-                return _Issue.ISSUED
-            break
-
-        renaming = self.renaming
-        slot = warp.slot
-
-        if d.is_pbr:
-            stats.pbr_decoded += 1
-            release = renaming.release
-            for reg in d.release_regs:
-                release(slot, reg, now)
-            top.pc += 1
-            warp.last_issue_cycle = now
-            return _Issue.ISSUED
-
-        pending = warp.pending_regs
-        if pending:
-            for reg in d.srcs:
-                if reg in pending:
-                    return _Issue.SCOREBOARD
-            if d.dst is not None and d.dst in pending:
-                return _Issue.SCOREBOARD
-        pending_preds = warp.pending_preds
-        if pending_preds:
-            if d.guard_preg is not None and d.guard_preg in pending_preds:
-                return _Issue.SCOREBOARD
-            if d.pdst is not None and d.pdst in pending_preds:
-                return _Issue.SCOREBOARD
-
-        # Register access: ``_try_issue``'s renaming branch with the
-        # ``RenamingTable.write`` mapped/direct fast paths inlined (the
-        # allocate slow path still goes through ``_allocate``).
-        penalty = 0
-        regfile = self.regfile
-        bank_acc = stats.rf_bank_accesses
-        regs_per_bank = regfile.regs_per_bank
-        if d.lookup_conflict_extra:
-            stats.renaming_conflict_cycles += d.lookup_conflict_extra
-        warp_map = renaming._maps[slot]
-        dst = d.dst
-        if dst is not None:
-            if d.dst_above:
-                if forbid_alloc and dst not in warp_map:
+                penalty += self._conflict_penalty(banks)
+        else:
+            # Redefine mode, a lifetime tracer or the least-occupied-
+            # bank ablation: the renaming table's own accessors.
+            if d.lookup_conflict_extra:
+                stats.renaming_conflict_cycles += d.lookup_conflict_extra
+            if dst is not None:
+                if (
+                    forbid_alloc
+                    and d.dst_above
+                    and not renaming.is_mapped(slot, dst)
+                ):
                     return _Issue.FORBIDDEN
-                stats.renaming_reads += 1
-                dst_phys = warp_map.get(dst)
-                if dst_phys is None:
-                    if self._bank_preserving:
-                        # ``RenamingTable._allocate`` unrolled: the
-                        # compiler bank is the decode cache's
-                        # precomputed ``(dst + slot) % num_banks``.
-                        result = regfile.allocate(
-                            d.dst_bank_by_slotmod[
-                                slot % regfile.num_banks
-                            ],
-                            now,
-                        )
-                        if result is None:
-                            return _Issue.ALLOC
-                        dst_phys, wake = result
-                        warp_map[dst] = dst_phys
-                        renaming._released_live[slot].discard(dst)
-                        stats.renaming_writes += 1
-                        renaming.version += 1
-                        cta_id = renaming._cta_of_warp[slot]
-                        renaming.cta_allocated[cta_id] += 1
-                        ever = renaming._ever[slot]
-                        if dst not in ever:
-                            ever.add(dst)
-                            renaming.cta_assigned[cta_id] += 1
-                    else:  # least-occupied-bank ablation
-                        result = renaming._allocate(slot, dst, now)
-                        if result is None:
-                            return _Issue.ALLOC
-                        dst_phys, wake = result
-                    if wake:
-                        penalty += wake
-                        stats.stall_wakeup_cycles += wake
-            else:
-                dst_phys = renaming._direct[slot][dst]
-            stats.rf_writes += 1
-            bank_acc[dst_phys // regs_per_bank] += 1
-        banks: list[int] = []
-        if d.below_srcs:
-            direct = renaming._direct[slot]
-            for reg in d.below_srcs:
-                phys = direct[reg]
-                stats.rf_reads += 1
-                bank = phys // regs_per_bank
-                bank_acc[bank] += 1
-                banks.append(bank)
-        for reg in d.above_srcs:
-            stats.renaming_reads += 1
-            phys = warp_map.get(reg)
-            if phys is None:
-                if reg in renaming._released_live[slot]:
-                    raise RenamingError(
-                        f"use-after-release: warp {slot} read r{reg} "
-                        "after its compiler-directed release (unsound "
-                        "release plan)"
-                    )
-                continue
-            stats.rf_reads += 1
-            bank = phys // regs_per_bank
-            bank_acc[bank] += 1
-            banks.append(bank)
-        if len(banks) > 1:
-            extra = len(banks) - len(set(banks))
-            if extra:
-                stats.stall_bank_conflict_cycles += extra
-                penalty += extra
+                result = renaming.write(slot, dst, now)
+                if result is None:
+                    return _Issue.ALLOC
+                dst_phys, wake = result
+                if wake:
+                    penalty += wake
+                    stats.stall_wakeup_cycles += wake
+                stats.rf_writes += 1
+                bank_acc[dst_phys // regs_per_bank] += 1
+            banks = []
+            for reg in d.dedup_srcs:
+                phys = renaming.read(slot, reg, now)
+                if phys is not None:
+                    stats.rf_reads += 1
+                    bank = phys // regs_per_bank
+                    bank_acc[bank] += 1
+                    banks.append(bank)
+            penalty += self._conflict_penalty(banks)
+            if d.release_list is not None:
+                for reg in d.release_list:
+                    renaming.release(slot, reg, now)
 
-        # Execute: ``execute_decoded_vector`` inlined. ``taken`` is the
-        # integer taken-mask for branches, unused otherwise.
+        # Execute: ``taken`` is the integer taken-mask for branches,
+        # unused otherwise. Operand rows are bound once per (warp, pc).
         entry = warp._vec_ops.get(d.pc)
         if entry is None:
             entry = _bind_rows(d, warp)
@@ -1069,26 +896,7 @@ class SMCore:
         stats.instructions += 1
         warp.last_issue_cycle = now
 
-        # Compiler-directed releases: ``RenamingTable.release`` with its
-        # ``_free`` helper unrolled (flags mode, tracer-less).
-        if d.release_list is not None:
-            threshold = renaming.threshold
-            rel_live = renaming._released_live[slot]
-            for reg in d.release_list:
-                if reg < threshold:
-                    continue
-                phys = warp_map.get(reg)
-                if phys is None:
-                    stats.wasted_releases += 1
-                    continue
-                stats.renaming_writes += 1
-                del warp_map[reg]
-                regfile.free(phys, now)
-                renaming.version += 1
-                renaming.cta_allocated[renaming._cta_of_warp[slot]] -= 1
-                rel_live.add(reg)
-
-        # Retire: ``_retire_cached`` inlined.
+        # Retire: the cached twin of ``_retire``.
         config = self.config
 
         if d.is_branch:
@@ -1105,7 +913,10 @@ class SMCore:
                 if stack.branch(taken, d.target_pc, fallthrough,
                                 d.reconv_pc):
                     stats.divergent_branches += 1
-            if stack.pc != fallthrough:
+            if stack.pc != fallthrough and renaming is not None:
+                # The extra renaming pipeline stage (7.1) deepens the
+                # front end, so a taken-branch redirect costs one more
+                # bubble cycle than the baseline.
                 warp.stall_front_end(
                     now + 1 + config.renaming_extra_cycles,
                     self._stalled_wakeups,
@@ -1140,6 +951,10 @@ class SMCore:
                 warp.outstanding_mem += 1
                 self._push_event(complete, "mem_wb", (warp, d.inst))
                 self.schedulers[slot % len(self.schedulers)].demote(warp)
+                if self.rfc is not None:
+                    # The RFC only backs active warps: demotion flushes
+                    # the warp's dirty lines to the MRF ([20]).
+                    self._mrf_writebacks(warp, self.rfc.flush_warp(slot))
             return _Issue.ISSUED
 
         if d.is_shared_mem:
@@ -1413,7 +1228,10 @@ class SMCore:
                     ].wake()
 
     # ---------------------------------------------------------------------- tick
-    def tick(self) -> None:
+    def _tick_generic(self) -> None:
+        """One cycle through the scheduler's own ``candidates`` /
+        ``issued`` calls: the seed path's tick, and the tick of
+        greedy-then-oldest cores (both bind it on the instance)."""
         now = self.cycle
         if self._events:
             self._process_events(now)
@@ -1493,13 +1311,14 @@ class SMCore:
             # engine's empty jump-target set, detected the same cycle.
             self._force_spill_or_deadlock(alloc_blocked)
 
-    def _tick_vector(self) -> None:
-        """Vector-engine tick (bound alongside ``_try_issue_vector``
-        for the round-robin scheduler policies): ``tick`` with the
-        scheduler's ``candidates``/``issued`` fast paths and the
+    def tick(self) -> None:
+        """Advance one cycle (the rotation scheduler policies).
+
+        ``_tick_generic`` with ``_process_events``, the scheduler's
+        round-robin ``candidates``/``issued`` fast paths and the
         throttle no-op unrolled inline. The stall/issue accounting is
-        line-for-line ``tick``'s — the equivalence grids compare every
-        :class:`SimStats` field across the two tick paths."""
+        line-for-line ``_tick_generic``'s — the equivalence grids
+        compare every :class:`SimStats` field across the two ticks."""
         now = self.cycle
         events = self._events
         if events and events[0][0] <= now:
@@ -1620,9 +1439,6 @@ class SMCore:
             self._skip_ahead(now, alloc_blocked, snap, restricted)
         elif self._next_wake(now + 1) is None:
             self._force_spill_or_deadlock(alloc_blocked)
-
-    def _spilled_pending(self) -> bool:
-        return self._spilled_count > 0
 
     def _next_wake(self, nxt: int) -> int | None:
         """Earliest cycle >= ``nxt`` at which the issue outcome can

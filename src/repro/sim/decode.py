@@ -17,6 +17,9 @@ every core running the same kernel under the same
 ``(num_banks, threshold, mode)`` key (see :class:`repro.sim.gpu.GPU`);
 process-pool workers rebuild it from the pickled kernel, which costs
 one decode pass per worker instead of one per dynamic instruction.
+Because the key includes the register mode, the records also carry
+mode facts the issue frame would otherwise test per instruction:
+outside flags mode no record has a release list.
 
 Because the cache snapshots compiler-filled fields (``target_pc``,
 ``reconv_pc``, ``release_srcs``), it must be built *after*
@@ -31,7 +34,6 @@ from repro.arch import GPUConfig
 from repro.isa.kernel import Kernel
 from repro.isa.opcodes import MemSpace, Opcode, Unit, opcode_info
 from repro.sim.execute import (
-    _ALU_OPS,
     _ALU_OPS_OUT,
     _CMP,
     EXEC_ALU,
@@ -67,17 +69,16 @@ class DecodedInst:
         # baseline-path precomputation (per slot-class bank ids)
         "src_banks_by_slotmod", "dst_bank_by_slotmod",
         "baseline_conflict_extra",
-        # value-semantics dispatch (see execute_decoded and its
-        # struct-of-arrays twin execute_decoded_vector)
-        "exec_kind", "exec_handler", "exec_out", "offset", "setp_imm",
-        "setp_cmp",
+        # value-semantics dispatch (the execute stage of
+        # SMCore._try_issue)
+        "exec_kind", "exec_out", "offset", "setp_imm", "setp_cmp",
         # retire
         "needs_wb", "target_pc", "reconv_pc",
         # shared operand-binding plan (kernel scope; see _bind_rows)
         "bind_max_reg", "bind_max_pred",
     )
 
-    def __init__(self, inst, num_banks: int, threshold: int):
+    def __init__(self, inst, num_banks: int, threshold: int, mode: str):
         info = opcode_info(inst.opcode)
         self.inst = inst
         self.pc = inst.pc
@@ -102,12 +103,18 @@ class DecodedInst:
 
         # Per-instruction release pairs (reg, flag) collapse to the regs
         # whose flag is set; the all-false case collapses to None so the
-        # hot path tests a single falsy value.
-        released = tuple(
-            reg for reg, flag in zip(inst.srcs, inst.release_srcs) if flag
-        )
+        # hot path tests a single falsy value. Only flags mode honours
+        # release metadata (redefine ignores it, baseline has no
+        # renaming table), so other modes decode none at all.
+        released = release_regs = ()
+        if mode == "flags":
+            released = tuple(
+                reg for reg, flag in zip(inst.srcs, inst.release_srcs)
+                if flag
+            )
+            release_regs = tuple(inst.release_regs)
         self.release_list = released or None
-        self.release_regs = tuple(inst.release_regs)
+        self.release_regs = release_regs
 
         # Renaming-lookup partition around the exemption threshold, and
         # the 4-banked renaming-table serialization count (static: the
@@ -146,10 +153,10 @@ class DecodedInst:
             {reg % num_banks for reg in self.dedup_srcs}
         )
 
-        # Value-semantics dispatch class plus the per-opcode handler,
-        # resolved once here instead of per dynamic instruction.
+        # Value-semantics dispatch class plus the per-opcode
+        # out-parameter handler, resolved once here instead of per
+        # dynamic instruction.
         self.offset = inst.offset
-        self.exec_handler = _ALU_OPS.get(inst.opcode)
         self.exec_out = _ALU_OPS_OUT.get(inst.opcode)
         self.setp_imm = None
         self.setp_cmp = None
@@ -162,7 +169,7 @@ class DecodedInst:
                 self.setp_imm = np.int64(inst.imm)
         elif info.is_memory:
             self.exec_kind = EXEC_STORE if info.is_store else EXEC_LOAD
-        elif self.exec_handler is not None:
+        elif self.exec_out is not None:
             self.exec_kind = EXEC_ALU
         else:
             self.exec_kind = EXEC_NONE
@@ -219,7 +226,7 @@ def build_decode_cache(kernel: Kernel, config: GPUConfig, threshold: int,
     finalized (PCs assigned, reconvergence points resolved).
     """
     entries = [
-        DecodedInst(inst, config.num_banks, threshold)
+        DecodedInst(inst, config.num_banks, threshold, mode)
         for inst in kernel.instructions
     ]
     return DecodeCache(entries, config.num_banks, threshold, mode)

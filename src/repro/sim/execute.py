@@ -10,19 +10,21 @@ correct.
 Branch instructions return the taken-lane mask; control (SIMT stack,
 barriers, exit) is applied by the core.
 
-Two lane engines share these semantics (``REPRO_VECTOR_LANES``):
+Two entry points share these semantics:
 
-* the **dict engine** (:func:`execute` / :func:`execute_decoded`) keeps
-  the seed behaviour — per-register lane arrays merged with a fresh
-  ``np.where`` per write — and serves as the strict reference;
-* the **struct-of-arrays engine** (:func:`execute_decoded_vector`)
-  drives a :class:`repro.sim.warp.VectorWarp`: operand rows of one
-  contiguous 2D bank, resolved once per (warp, pc), with in-place
-  masked ``np.copyto`` writes and out-parameter ALU handlers that
-  allocate nothing on the hot path.
+* :func:`execute` is the seed path's (``REPRO_DECODE_CACHE=0``): it
+  decodes the instruction per call and drives a dict-layout
+  :class:`repro.sim.warp.Warp`, merging each write with a fresh
+  ``np.where``;
+* the decode-cached issue frame (``SMCore._try_issue``) inlines its own
+  execute stage over a :class:`repro.sim.warp.VectorWarp`: operand rows
+  of one contiguous 2D bank, resolved once per (warp, pc) by
+  :func:`_bind_rows`, written in place with masked ``np.copyto`` by the
+  out-parameter handlers of :data:`_ALU_OPS_OUT`, which allocate
+  nothing on the hot path.
 
-The equivalence suite pins the two engines bit-identical per SimStats
-field across the full engine grid.
+The equivalence suites pin the two bit-identical per SimStats field and
+memory image.
 """
 
 from __future__ import annotations
@@ -159,56 +161,6 @@ def execute(inst: Instruction, warp: Warp, gmem) -> int | None:
     return None
 
 
-def _alu(opcode: Opcode, inst: Instruction, srcs, warp: Warp) -> np.ndarray:
-    """Value semantics of one ALU/SFU opcode (table-dispatched)."""
-    handler = _ALU_OPS.get(opcode)
-    if handler is None:
-        raise SimulationError(f"no semantics for opcode {opcode}")
-    return handler(inst, srcs, warp)
-
-
-def execute_decoded(d, warp: Warp, gmem) -> int | None:
-    """Decode-cached twin of :func:`execute`.
-
-    Identical value semantics, but driven by a
-    :class:`repro.sim.decode.DecodedInst` record whose ``exec_kind`` /
-    ``exec_handler`` fields were resolved once per static instruction,
-    so no per-call opcode dispatch happens. The equivalence suite holds
-    the two paths bit-identical.
-    """
-    inst = d.inst
-    if d.guard_preg is None:
-        if d.is_branch:
-            return warp.active_mask
-        mask = warp.mask_array()
-    else:
-        mask = effective_mask(warp, inst)
-        if d.is_branch:
-            return array_to_mask(mask)
-
-    kind = d.exec_kind
-    if kind == EXEC_NONE:
-        return None
-    srcs = [warp.reg(reg) for reg in d.srcs]
-    if kind == EXEC_ALU:
-        warp.write_reg(d.dst, d.exec_handler(inst, srcs, warp), mask)
-        return None
-    if kind == EXEC_LOAD:
-        addrs = (srcs[0] + d.offset) & ADDR_MASK
-        memory = gmem if d.is_global_mem else warp.cta.shared
-        warp.write_reg(d.dst, memory.load(addrs, mask), mask)
-        return None
-    if kind == EXEC_STORE:
-        addrs = (srcs[0] + d.offset) & ADDR_MASK
-        memory = gmem if d.is_global_mem else warp.cta.shared
-        memory.store(addrs, srcs[1], mask)
-        return None
-    # EXEC_SETP
-    rhs = d.setp_imm if d.setp_imm is not None else srcs[1]
-    warp.write_pred(d.pdst, d.setp_cmp(srcs[0], rhs), mask)
-    return None
-
-
 def _bind_rows(d, warp):
     """Resolve one decoded instruction's operand rows for ``warp``.
 
@@ -239,88 +191,6 @@ def _bind_rows(d, warp):
     )
     warp._vec_ops[d.pc] = entry
     return entry
-
-
-def execute_decoded_vector(d, warp, gmem) -> int | None:
-    """Struct-of-arrays twin of :func:`execute_decoded`.
-
-    Drives a :class:`repro.sim.warp.VectorWarp`: operand rows of the
-    warp's contiguous register bank are resolved once per (warp, pc)
-    into the warp's op cache; ALU results are computed straight into
-    the destination row when every lane is active, or staged through a
-    preallocated scratch row and merged with one in-place masked
-    ``np.copyto`` otherwise; the guard combine fuses into a single
-    boolean ufunc writing a scratch row. Value semantics are
-    bit-identical to the dict-engine reference per SimStats field.
-
-    Lanes outside the warp's full mask (a partial tail warp) may
-    receive garbage on the full-active fast path; that is safe because
-    every observable read — predicate guards, taken masks, memory
-    stores, loads — is combined with the active-lane mask first (the
-    in-place write invariants in docs/INTERNALS.md).
-    """
-    entry = warp._vec_ops.get(d.pc)
-    if entry is None:
-        entry = _bind_rows(d, warp)
-    src_rows, dst_row, guard_row, pdst_row = entry
-    stack = warp.stack
-    top = stack._stack[-1]
-    if guard_row is None:
-        if d.is_branch:
-            return top.mask
-        mask = None  # lazily resolved active-lane array
-        full = top.mask == stack.full_mask
-    else:
-        amask = warp.mask_array()
-        mask = warp._gscratch
-        if d.guard_negated:
-            # On booleans ``a > b`` is ``a & ~b``: one fused ufunc.
-            np.greater(amask, guard_row, out=mask)
-        else:
-            np.logical_and(amask, guard_row, out=mask)
-        if d.is_branch:
-            return array_to_mask(mask)
-        full = False
-
-    kind = d.exec_kind
-    if kind == EXEC_NONE:
-        return None
-    if kind == EXEC_ALU:
-        if full:
-            d.exec_out(d.inst, src_rows, warp, dst_row)
-        else:
-            scratch = warp._scratch
-            d.exec_out(d.inst, src_rows, warp, scratch)
-            if mask is None:
-                mask = warp.mask_array()
-            np.copyto(dst_row, scratch, where=mask)
-        return None
-    if mask is None:
-        mask = warp.mask_array()
-    if kind == EXEC_LOAD:
-        addrs = warp._scratch2
-        np.add(src_rows[0], d.offset, out=addrs)
-        np.bitwise_and(addrs, ADDR_MASK, out=addrs)
-        memory = gmem if d.is_global_mem else warp.cta.shared
-        memory.load_into(addrs, mask, warp._mscratch)
-        np.copyto(dst_row, warp._mscratch, where=mask)
-        return None
-    if kind == EXEC_STORE:
-        addrs = warp._scratch2
-        np.add(src_rows[0], d.offset, out=addrs)
-        np.bitwise_and(addrs, ADDR_MASK, out=addrs)
-        memory = gmem if d.is_global_mem else warp.cta.shared
-        memory.store(addrs, src_rows[1], mask)
-        return None
-    # EXEC_SETP
-    rhs = d.setp_imm if d.setp_imm is not None else src_rows[1]
-    if full:
-        d.setp_cmp(src_rows[0], rhs, out=pdst_row)
-    else:
-        stage = warp._bscratch
-        d.setp_cmp(src_rows[0], rhs, out=stage)
-        np.copyto(pdst_row, stage, where=mask)
-    return None
 
 
 #: ``DecodedInst.exec_kind`` classes, mirrored from repro.sim.decode
@@ -369,7 +239,7 @@ _ALU_OPS = {
 }
 
 
-# --- out-parameter twins for the struct-of-arrays engine ---------------------
+# --- out-parameter handlers of the decode-cached issue frame -----------------
 # Contract: ``handler(inst, src_rows, warp, out)`` writes the result
 # into ``out``, which may alias any source row (it is the destination
 # row on the full-active fast path). Single-ufunc handlers are

@@ -6,15 +6,17 @@ functional values. That separation lets the test suite check that
 baseline / renamed / GPU-shrink configurations compute identical
 results.
 
-Two storage layouts implement the same register API
-(``REPRO_VECTOR_LANES``):
+Two storage layouts implement the same register API, and the decode
+cache (``REPRO_DECODE_CACHE``) picks one:
 
-* :class:`Warp` — the seed reference: one 32-lane numpy array per
-  architected id in a dict, writes merged with a fresh ``np.where``;
-* :class:`VectorWarp` — struct-of-arrays: one contiguous 2D bank
-  (``regs[num_regs, warp_size]`` int64 plus a bool predicate bank)
-  whose *rows* are permanent views, enabling in-place masked writes
-  and per-(warp, pc) operand-row caching in the vector execute path.
+* :class:`VectorWarp` — struct-of-arrays, on the decode-cached path:
+  one contiguous 2D bank (``regs[num_regs, warp_size]`` int64 plus a
+  bool predicate bank) whose *rows* are permanent views, enabling
+  in-place masked writes and per-(warp, pc) operand-row caching in the
+  issue frame's execute stage;
+* :class:`Warp` — the dict layout, on the seed path only: one 32-lane
+  numpy array per architected id, writes merged with a fresh
+  ``np.where``.
 """
 
 from __future__ import annotations
@@ -181,8 +183,8 @@ class VectorWarp(Warp):
     Register row views (``bank[index]``) are handed out by :meth:`reg`
     and are *permanent* — a write never replaces a row, it mutates it
     in place (``np.copyto(row, values, where=mask)``). That stability
-    is what lets the vector execute path resolve operand rows once per
-    (warp, pc) into :attr:`_vec_ops` and reuse them for every dynamic
+    is what lets the issue frame resolve operand rows once per (warp,
+    pc) into :attr:`_vec_ops` and reuse them for every dynamic
     execution.
 
     The only event that moves storage is bank growth (an access beyond
@@ -194,7 +196,7 @@ class VectorWarp(Warp):
     :attr:`_fscratch`, :attr:`_bscratch`, :attr:`_gscratch`,
     :attr:`_mscratch`) are owned staging buffers for the out-parameter
     ALU handlers, fused guard masks and memory loads in
-    :mod:`repro.sim.execute`; they make the vector hot path
+    :mod:`repro.sim.execute`; they make the issue hot path
     allocation-free.
     """
 
@@ -219,7 +221,7 @@ class VectorWarp(Warp):
         self._gscratch = np.zeros(warp_size, dtype=bool)
         self._mscratch = np.zeros(warp_size, dtype=np.int64)
         #: pc -> (src_rows, dst_row, guard_row, pdst_row), bound by
-        #: the vector execute path; cleared on any bank growth.
+        #: the issue frame's execute stage; cleared on any bank growth.
         self._vec_ops: dict = {}
 
     # --- functional register access ------------------------------------------

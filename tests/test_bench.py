@@ -12,7 +12,6 @@ from repro.analysis.bench import (
     GATE_SERVICE_DEDUPE_FLOOR,
     GATE_SERVICE_SPEEDUP_FLOOR,
     GATE_SPEEDUP_FLOOR,
-    GATE_VECTOR_SPEEDUP_FLOOR,
     MODES,
     SCHEMA,
     SHRINK_WORKLOADS,
@@ -65,11 +64,6 @@ class TestRunBenchmark:
         assert shrink["wall_seconds_noskip"] > 0
         assert shrink["cycles_per_second_noskip"] > 0
         assert shrink["speedup"] > 0
-        # The flags mode times both register-state engines (v4).
-        flags = data["modes"]["flags"]
-        assert flags["wall_seconds_scalar"] > 0
-        assert flags["cycles_per_second_scalar"] > 0
-        assert flags["vector_speedup"] > 0
         # v6 variance fields on every record, mode and workload alike.
         for mode in MODES:
             record = data["modes"][mode]
@@ -120,17 +114,10 @@ class TestValidate:
             "modes.shrink.speedup" in e for e in validate_bench(data)
         )
 
-    def test_rejects_missing_flags_extras(self):
-        data = self._valid()
-        del data["modes"]["flags"]["vector_speedup"]
-        assert any(
-            "modes.flags.vector_speedup" in e for e in validate_bench(data)
-        )
-
     def test_accepts_legacy_engine_columns(self):
-        # Files written while the batch and trace-JIT engines existed
-        # (the committed reference among them) carry their columns;
-        # they stay valid v7 files.
+        # Files written while the dict-layout cached path, the batch
+        # engine and the trace JIT existed (the committed reference
+        # among them) carry their columns; they stay valid v7 files.
         data = self._valid()
         data["modes"]["flags"].update(_LEGACY_FLAGS_COLUMNS)
         assert validate_bench(data) == []
@@ -158,6 +145,8 @@ class TestValidate:
 #: Flags-mode columns of the removed batch and trace-JIT engines, as
 #: v5/v6-era result files still carry them.
 _LEGACY_FLAGS_COLUMNS = {
+    "wall_seconds_scalar": 1.0, "cycles_per_second_scalar": 80.0,
+    "vector_speedup": 1.0,
     "wall_seconds_nobatch": 1.0, "cycles_per_second_batch": 80.0,
     "batch_speedup": 1.0, "wall_seconds_nojit": 1.0,
     "cycles_per_second_jit": 80.0, "jit_speedup": 1.0,
@@ -166,7 +155,7 @@ _LEGACY_FLAGS_COLUMNS = {
 
 def _synthetic_result(
     base_cps=100.0, flags_cps=80.0, redefine_cps=70.0, shrink_cps=300.0,
-    speedup=3.0, vector_speedup=1.5,
+    speedup=3.0,
 ):
     """Minimal two-file comparison fixture (no simulation needed)."""
     modes = {}
@@ -192,11 +181,6 @@ def _synthetic_result(
         wall_seconds_noskip=speedup,
         cycles_per_second_noskip=shrink_cps / speedup,
         speedup=speedup,
-    )
-    modes["flags"].update(
-        wall_seconds_scalar=vector_speedup,
-        cycles_per_second_scalar=flags_cps / vector_speedup,
-        vector_speedup=vector_speedup,
     )
     return {
         "schema": SCHEMA, "quick": False, "scale": 1.0, "waves": 2,
@@ -332,31 +316,20 @@ class TestCompareAndGate:
         errors = gate_bench(old, new, pct=0.30)
         assert any("speedup" in e for e in errors)
 
-    def test_gate_fails_when_vector_engine_regresses(self):
-        old = _synthetic_result()
-        new = _synthetic_result(
-            vector_speedup=GATE_VECTOR_SPEEDUP_FLOOR - 0.1
-        )
-        errors = gate_bench(old, new, pct=0.30)
-        assert any("vector-engine" in e for e in errors)
-
-    def test_gate_skips_vector_check_for_pre_v4_reference(self):
-        old = _synthetic_result()
-        del old["modes"]["flags"]["vector_speedup"]
-        new = _synthetic_result(vector_speedup=0.5)
-        assert gate_bench(old, new, pct=0.30) == []
-
     def test_gate_ignores_legacy_engine_columns(self):
         # A reference that still carries the removed engines' columns
         # gates a fresh run that has none of them, however low the
         # old ratios read.
         old = _synthetic_result()
         old["modes"]["flags"].update(
-            _LEGACY_FLAGS_COLUMNS, batch_speedup=0.1, jit_speedup=0.1
+            _LEGACY_FLAGS_COLUMNS, batch_speedup=0.1, jit_speedup=0.1,
+            vector_speedup=0.1,
         )
         new = _synthetic_result()
         assert gate_bench(old, new, pct=0.30) == []
-        assert "batch" not in compare_bench(old, new)
+        table = compare_bench(old, new)
+        assert "batch" not in table
+        assert "vector" not in table
 
     def test_gate_skips_batch_check_for_pre_v5_reference(self):
         # ... nor does a low batch ratio in the file under test (one

@@ -1,11 +1,15 @@
 """The decode cache must be invisible: bit-identical statistics.
 
 The per-kernel decode cache (``repro.sim.decode``) and the cached issue
-path in ``SMCore`` are pure performance work — every counter in
-``SimStats`` must come out exactly equal to the uncached seed path,
-which stays available behind ``REPRO_DECODE_CACHE=0``. These tests pin
-that equivalence across workloads and register-management modes, plus
-the structural invariants of the decoded records themselves.
+frame in ``SMCore`` are pure performance work — every counter in
+``SimStats`` and the final global-memory image must come out exactly
+equal to the uncached seed path, which stays available behind
+``REPRO_DECODE_CACHE=0``. These tests pin that equivalence across
+workloads, register-management modes and every configuration the frame
+branches on (register file cache, lifetime tracer, least-occupied-bank
+allocation, release metadata outside flags mode, scheduler policy,
+GPU-shrink pressure), plus the structural invariants of the decoded
+records themselves.
 
 The ``ticks_executed`` / ``skipped_cycles`` engine diagnostics are
 exempt (the convention of test_cycle_skip.py / test_vector_lanes.py):
@@ -63,18 +67,101 @@ def _simulate(workload, mode, **kwargs):
     )
 
 
+def _run_case(workload, mode, config=None, compiled=False, **opts):
+    """One wave of ``workload`` under ``mode`` on ``config`` (default:
+    baseline for baseline mode, else renamed); returns the comparable
+    stats and the final global-memory image. Flags mode — and any mode
+    with ``compiled`` — runs the kernel compiled for ``config`` (or for
+    the renamed file, so it carries release metadata)."""
+    if config is None:
+        config = (
+            GPUConfig.baseline() if mode == "baseline"
+            else GPUConfig.renamed()
+        )
+    opts.setdefault("max_ctas_per_sm_sim",
+                    workload.table1.conc_ctas_per_sm)
+    kernel = workload.kernel.clone()
+    if mode == "flags" or compiled:
+        target = config if mode == "flags" else GPUConfig.renamed()
+        result = compile_kernel(workload.kernel, workload.launch, target)
+        kernel = result.kernel
+        if mode == "flags":
+            opts["threshold"] = result.renaming_threshold
+    gpu = GPU(config, kernel, workload.launch, mode=mode, **opts)
+    return _comparable(gpu.run()), gpu.gmem.image()
+
+
+#: Configurations the issue frame branches on, beyond the three plain
+#: modes: label -> (mode, ``_run_case`` options). Each runs on
+#: VARIANT_WORKLOADS.
+VARIANTS = {
+    "rfc-baseline": (
+        "baseline", dict(config=GPUConfig.baseline(rfc_entries_per_warp=6))
+    ),
+    "traced-flags": (
+        "flags", dict(trace_warp_slots=(0, 1), sample_interval=7)
+    ),
+    "least-occupied-flags": (
+        "flags",
+        dict(config=GPUConfig.renamed(bank_preserving_renaming=False)),
+    ),
+    "compiled-redefine": ("redefine", dict(compiled=True)),
+    "compiled-baseline": ("baseline", dict(compiled=True)),
+    "gto-baseline": (
+        "baseline", dict(config=GPUConfig.baseline(scheduler_policy="gto"))
+    ),
+    "loose_rr-redefine": (
+        "redefine",
+        dict(config=GPUConfig.renamed(scheduler_policy="loose_rr")),
+    ),
+}
+VARIANT_WORKLOADS = WORKLOADS + ("bfs",)
+#: Register-file pressure: throttling, spill churn and deadlock
+#: fallbacks, on the throttle-dominated workloads.
+SHRINK_VARIANTS = {
+    "shrink0.5-redefine": (
+        "redefine", dict(config=GPUConfig.shrunk(0.5))
+    ),
+    "shrink0.2-traced-flags": (
+        "flags", dict(config=GPUConfig.shrunk(0.2), trace_warp_slots=(0, 1))
+    ),
+    "shrink0.3-nospill-flags": (
+        "flags", dict(config=GPUConfig.shrunk(0.3), spill_enabled=False)
+    ),
+}
+SHRINK_WORKLOADS = ("scalarprod", "backprop")
+
+EQUIVALENCE_CASES = [
+    pytest.param(mode, name, {}, id=f"{mode}-{name}")
+    for mode in MODES
+    for name in WORKLOADS
+] + [
+    pytest.param(mode, name, opts, id=f"{label}-{name}")
+    for variants, names in (
+        (VARIANTS, VARIANT_WORKLOADS), (SHRINK_VARIANTS, SHRINK_WORKLOADS)
+    )
+    for label, (mode, opts) in variants.items()
+    for name in names
+]
+
+
 class TestEquivalence:
-    @pytest.mark.parametrize("name", WORKLOADS)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_cached_path_matches_seed_path(self, name, mode, monkeypatch):
-        """Every SimStats field identical with and without the cache."""
+    @pytest.mark.parametrize("mode,name,opts", EQUIVALENCE_CASES)
+    def test_cached_path_matches_seed_path(self, mode, name, opts,
+                                           monkeypatch):
+        """Every SimStats field and the memory image identical on the
+        decode-cached path and on the seed path (no decode cache, one
+        scan per simulated cycle)."""
         workload = get_workload(name, **QUICK)
-        cached = _simulate(workload, mode)
+        monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
+        cached = _run_case(workload, mode, **opts)
 
         monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
-        uncached = _simulate(workload, mode)
+        monkeypatch.setenv("REPRO_CYCLE_SKIP", "0")
+        seed = _run_case(workload, mode, **opts)
 
-        assert _comparable(cached) == _comparable(uncached)
+        assert cached[0] == seed[0]
+        assert cached[1] == seed[1]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_parallel_matches_serial(self, mode):
@@ -204,7 +291,7 @@ class TestDecodedInst:
     def test_exec_kind_classification(self, decoded):
         kernel, cache, _, _ = decoded
         from repro.sim.execute import (
-            _ALU_OPS,
+            _ALU_OPS_OUT,
             EXEC_ALU,
             EXEC_LOAD,
             EXEC_NONE,
@@ -227,9 +314,9 @@ class TestDecodedInst:
                 assert entry.exec_kind == (
                     EXEC_STORE if info.is_store else EXEC_LOAD
                 )
-            elif entry.opcode in _ALU_OPS:
+            elif entry.opcode in _ALU_OPS_OUT:
                 assert entry.exec_kind == EXEC_ALU
-                assert entry.exec_handler is _ALU_OPS[entry.opcode]
+                assert entry.exec_out is _ALU_OPS_OUT[entry.opcode]
             else:
                 assert entry.exec_kind == EXEC_NONE
         # The workload must actually exercise the dispatch classes.

@@ -26,6 +26,7 @@ import multiprocessing.connection
 import os
 import signal
 import threading
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -528,7 +529,47 @@ class TestFaults:
         assert not daemon.cache.pinned()
 
 
+def _live_group_members(pgid):
+    """Pids of the live (non-zombie) processes in group ``pgid``."""
+    members = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as handle:
+                raw = handle.read()
+        except OSError:
+            continue
+        # Fields after the command name (which may hold spaces or
+        # parentheses): state, ppid, pgrp, ...
+        state, _ppid, group = raw[raw.rfind(")") + 2:].split()[:3]
+        if int(group) == pgid and state not in ("Z", "X"):
+            members.append(int(name))
+    return members
+
+
 class TestLoadgen:
+    def test_failed_stop_kills_the_daemon_process_group(self):
+        """When the orderly shutdown fails (here: the socket is gone),
+        ``SpawnedDaemon.stop`` kills the daemon's whole process group —
+        the pool worker that served a miss included — and reaps the
+        daemon."""
+        daemon = loadgen.SpawnedDaemon(jobs=1)
+        pgid = daemon._process.pid
+        try:
+            with ServiceClient.connect(daemon.address) as client:
+                served = client.submit(protocol.spec_to_request(_spec()))
+            assert served["served"] == "executed"
+            assert len(_live_group_members(pgid)) >= 2, "no pool worker"
+            os.unlink(daemon.address)
+        finally:
+            daemon.stop()
+        assert daemon._process.returncode is not None
+        deadline = time.monotonic() + 5.0
+        while _live_group_members(pgid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_group_members(pgid) == []
+
     def test_build_mix_is_deterministic_and_exact(self):
         universe = [("baseline", i) for i in range(32)]
         flows, counts = loadgen.build_mix(

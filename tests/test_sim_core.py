@@ -1,5 +1,8 @@
 """SM core integration tests on small kernels."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.arch import GPUConfig
@@ -363,3 +366,48 @@ class TestRenamingTableConflicts:
         result = simulate(straight_kernel.clone(), ONE_WARP,
                           mode="baseline")
         assert result.stats.renaming_conflict_cycles == 0
+
+
+class TestReferenceCounting:
+    """A finished simulation is freed by reference counting alone: no
+    reference cycle keeps a core, a CTA or a warp alive until the
+    cyclic garbage collector happens to run."""
+
+    @pytest.mark.parametrize("mode", ("baseline", "flags", "redefine",
+                                      "traced"))
+    def test_finished_gpu_is_freed_without_collector(
+        self, mode, loop_kernel, monkeypatch
+    ):
+        # Seed-path cores bind their reference issue and tick methods
+        # on the instance (a cycle by design); pin the decode cache on
+        # so this checks the default cores whatever the suite runs
+        # under.
+        monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
+        if mode == "baseline":
+            config, kernel, opts = GPUConfig.baseline(), loop_kernel, {}
+        elif mode == "redefine":
+            config, kernel, opts = GPUConfig.renamed(), loop_kernel, {}
+        else:
+            config = GPUConfig.renamed()
+            compiled = compile_kernel(loop_kernel, TWO_CTAS, config)
+            kernel = compiled.kernel
+            opts = dict(mode="flags",
+                        threshold=compiled.renaming_threshold)
+            if mode == "traced":
+                opts["trace_warp_slots"] = (0, 1)
+        opts.setdefault("mode", mode)
+        gc.collect()
+        gc.disable()
+        try:
+            gpu = GPU(config, kernel, TWO_CTAS, **opts)
+            core = gpu.cores[0]
+            core.tick()  # tick 0 launches the CTA
+            cta = core.resident[0]
+            refs = [weakref.ref(obj) for obj in (core, cta, cta.warps[0])]
+            del cta
+            assert gpu.run().stats.ctas_completed == 1
+            del gpu, core
+            alive = [ref() for ref in refs]
+            assert alive == [None, None, None], alive
+        finally:
+            gc.enable()

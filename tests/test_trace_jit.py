@@ -1,16 +1,17 @@
-"""Engine equivalence beyond the vector-lanes grid.
+"""Engine equivalence beyond the matrixmul grid.
 
-The default engines (struct-of-arrays lanes, decode cache, cycle skip)
-must reproduce the seed path (dict layout, per-instruction decode, one
-scan per simulated cycle): every :class:`SimStats` field except the
-``ticks_executed`` / ``skipped_cycles`` diagnostics, and the final
-global-memory image where a test reads one. test_vector_lanes.py runs
-the engine grid on matrixmul; these tests run it on blackscholes and
-reduction in flags, baseline and redefine modes, run two control-flow
-edge kernels (warps split at a real branch, a loop back edge) in every
-register mode, and run generated structured kernels in every register
-mode — after checking that the decode cache partitions each kernel,
-generated or real, into exactly one record per pc.
+The default engines (the decode-cached issue frame on struct-of-arrays
+warps, cycle skip) must reproduce the seed path (per-instruction decode
+on the dict layout, one scan per simulated cycle): every
+:class:`SimStats` field except the ``ticks_executed`` /
+``skipped_cycles`` diagnostics, and the final global-memory image.
+test_vector_lanes.py runs the engine grid on matrixmul; these tests
+run it on blackscholes and reduction in flags, baseline and redefine
+modes, run two control-flow edge kernels (warps split at a real
+branch, a loop back edge) in every register mode, and run generated
+structured kernels in every register mode — after checking that the
+decode cache partitions each kernel, generated or real, into exactly
+one record per pc.
 
 The module and test names date from the trace-level JIT these checks
 were first written against; the JIT has been removed.
@@ -33,6 +34,7 @@ from tests.test_vector_lanes import (
     FULL_GRID,
     KERNEL_MODES,
     SEED_CELL,
+    _assert_cells_match_seed,
     _comparable,
     _engine,
     _run_kernel,
@@ -45,9 +47,8 @@ def _assert_workload_grid_matches_seed(name, mode):
     runs = {}
     for cell in FULL_GRID:
         with _engine(cell):
-            runs[cell] = _comparable(_simulate(name, mode))
-    for cell, stats in runs.items():
-        assert stats == runs[SEED_CELL], f"{name}/{mode} cell {cell} diverged"
+            runs[cell] = _simulate(name, mode)
+    _assert_cells_match_seed(f"{name}/{mode}", runs)
 
 
 class TestEquivalenceGrid:

@@ -1,17 +1,18 @@
-"""Struct-of-arrays lane engine equivalence (``REPRO_VECTOR_LANES``).
+"""Engine equivalence on the decode-cache x cycle-skip grid.
 
-The vector engine replaces the per-register ``dict[int, ndarray]``
-warp state with one contiguous 2D register bank per warp and in-place
-masked writes; ``REPRO_VECTOR_LANES=0`` keeps the seed dict layout as
-the strict reference. The engine must be invisible: every
+The decode-cached issue frame drives struct-of-arrays warps
+(:class:`VectorWarp`: one contiguous 2D register bank per warp and
+in-place masked writes) in every register mode; the seed path
+(``REPRO_DECODE_CACHE=0``: per-instruction decode, dict-layout
+:class:`Warp`, the scheduler's own selection calls) is the single
+reference. Every cell of the engine grid must reproduce the seed cell
+(no decode cache, one scan per simulated cycle): every
 :class:`SimStats` field except the ``ticks_executed`` /
-``skipped_cycles`` diagnostics — and the final global-memory image —
-must come out exactly equal on both layouts, in every register mode,
-composed with either decode path and either tick engine, serial or
-parallel. These tests pin that grid, the aliasing/mask edge cases the
-in-place writes are most likely to get wrong, the :class:`VectorWarp`
-storage invariants, and the flag plumbing (including the result-cache
-fingerprint split).
+``skipped_cycles`` diagnostics, and the final global-memory image, in
+every register mode, serial or parallel. These tests pin that grid,
+the aliasing/mask edge cases the in-place writes are most likely to
+get wrong, the :class:`VectorWarp` storage invariants, and how cores
+bind their issue and tick entry points.
 
 The grid, its seed and default cells and the runners below are shared
 with test_warp_batch.py (control-flow edge kernels on the whole grid)
@@ -29,34 +30,28 @@ import numpy as np
 import pytest
 
 from repro.arch import GPUConfig
-from repro.cache.fingerprint import engine_fingerprint
 from repro.compiler import compile_kernel
 from repro.isa import CmpOp, KernelBuilder, Special
 from repro.launch import LaunchConfig
 from repro.sim.core import SMCore
-from repro.sim.gpu import GPU, simulate
+from repro.sim.gpu import GPU
 from repro.sim.warp import VectorWarp, Warp
 from repro.workloads.suite import get_workload
 
-MODES = ("baseline", "flags", "shrink")
 SHRINK_FRACTION = 0.2
 #: Engine diagnostics: the only fields allowed to differ across
 #: engines (see test_cycle_skip.py).
 DIAGNOSTICS = frozenset({"ticks_executed", "skipped_cycles"})
-#: Full (vector, decode-cache, cycle-skip) engine grid.
+#: Full (decode-cache, cycle-skip) engine grid.
 FULL_GRID = tuple(
-    (vec, cache, skip)
-    for vec in ("1", "0")
-    for cache in ("1", "0")
-    for skip in ("1", "0")
+    (cache, skip) for cache in ("1", "0") for skip in ("1", "0")
 )
-#: The seed path: dict layout, per-instruction decode, one scan per
-#: simulated cycle. Every other cell must reproduce it.
-SEED_CELL = ("0", "0", "0")
+#: The seed path: per-instruction decode on the dict layout, one scan
+#: per simulated cycle. Every other cell must reproduce it.
+SEED_CELL = ("0", "0")
 #: The default engines.
-DEFAULT_CELL = ("1", "1", "1")
-_ENGINE_FLAGS = ("REPRO_VECTOR_LANES", "REPRO_DECODE_CACHE",
-                 "REPRO_CYCLE_SKIP")
+DEFAULT_CELL = ("1", "1")
+_ENGINE_FLAGS = ("REPRO_DECODE_CACHE", "REPRO_CYCLE_SKIP")
 
 
 @contextlib.contextmanager
@@ -85,7 +80,9 @@ def _comparable(result) -> dict:
 
 
 def _simulate(name, mode, scale=0.5, fraction=SHRINK_FRACTION, waves=1,
-              **kwargs):
+              jobs=1, **kwargs):
+    """Run ``name`` in ``mode`` (``shrink`` is flags mode on a shrunk
+    file); returns the comparable stats and the global-memory image."""
     workload = get_workload(name, scale=scale)
     opts = dict(
         max_ctas_per_sm_sim=waves * workload.table1.conc_ctas_per_sm
@@ -98,80 +95,71 @@ def _simulate(name, mode, scale=0.5, fraction=SHRINK_FRACTION, waves=1,
             else GPUConfig.renamed()
         )
         compiled = compile_kernel(workload.kernel, workload.launch, config)
-        return simulate(
-            compiled.kernel, workload.launch, config, mode="flags",
-            threshold=compiled.renaming_threshold, **opts,
+        gpu = GPU(config, compiled.kernel, workload.launch, mode="flags",
+                  threshold=compiled.renaming_threshold, **opts)
+    else:
+        config = (
+            GPUConfig.renamed() if mode == "redefine"
+            else GPUConfig.baseline()
         )
-    config = (
-        GPUConfig.renamed() if mode == "redefine" else GPUConfig.baseline()
-    )
-    return simulate(
-        workload.kernel.clone(), workload.launch, config, mode=mode, **opts,
-    )
+        gpu = GPU(config, workload.kernel.clone(), workload.launch,
+                  mode=mode, **opts)
+    return _comparable(gpu.run(jobs=jobs)), gpu.gmem.image()
+
+
+def _assert_cells_match_seed(label, runs):
+    """``runs`` maps grid cells to (stats, memory image)."""
+    seed = runs[SEED_CELL]
+    for cell, (stats, image) in runs.items():
+        assert stats == seed[0], f"{label} cell {cell} stats diverged"
+        assert image == seed[1], f"{label} cell {cell} memory diverged"
 
 
 class TestEquivalenceGrid:
-    """vector x decode-cache x cycle-skip engine grid."""
+    """decode-cache x cycle-skip engine grid, against the seed cell."""
 
-    def test_flags_serial_grid_is_bit_identical(self, monkeypatch):
-        """Full 2x2x2 grid on the renamed flow — the mode where the
-        vector engine binds its deeply inlined issue/tick paths."""
+    def test_flags_serial_grid_is_bit_identical(self):
         runs = {}
-        for vec, cache, skip in FULL_GRID:
-            monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
-            monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
-            monkeypatch.setenv("REPRO_CYCLE_SKIP", skip)
-            runs[(vec, cache, skip)] = _comparable(
-                _simulate("matrixmul", "flags")
-            )
-        reference = runs[("0", "1", "1")]
-        for cell, stats in runs.items():
-            assert stats == reference, f"grid cell {cell} diverged"
+        for cell in FULL_GRID:
+            with _engine(cell):
+                runs[cell] = _simulate("matrixmul", "flags")
+        _assert_cells_match_seed("matrixmul/flags", runs)
 
     @pytest.mark.parametrize("mode", ("baseline", "redefine", "shrink"))
-    def test_other_modes_vector_grid_is_bit_identical(
-        self, mode, monkeypatch
-    ):
+    def test_other_modes_vector_grid_is_bit_identical(self, mode):
         runs = {}
-        for vec in ("1", "0"):
-            for cache in ("1", "0"):
-                monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
-                monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
-                runs[(vec, cache)] = _comparable(_simulate("matrixmul", mode))
-        reference = runs[("0", "1")]
-        for cell, stats in runs.items():
-            assert stats == reference, f"grid cell {cell} diverged"
+        for cell in FULL_GRID:
+            with _engine(cell):
+                runs[cell] = _simulate("matrixmul", mode)
+        _assert_cells_match_seed(f"matrixmul/{mode}", runs)
 
-    def test_parallel_matches_serial_reference(self, monkeypatch):
-        """The process-pool engine (workers re-resolve the env flag
+    def test_parallel_matches_serial_reference(self):
+        """The process-pool engine (workers re-resolve the env flags
         when rebuilding cores from CoreJob specs) must agree with the
-        serial reference cell by cell."""
-        reference = None
-        for vec in ("1", "0"):
-            monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
-            stats = _comparable(
-                _simulate("matrixmul", "flags", sim_sms=2,
-                          max_ctas_per_sm_sim=2, jobs=2)
-            )
-            if reference is None:
-                reference = _comparable(
-                    _simulate("matrixmul", "flags", sim_sms=2,
-                              max_ctas_per_sm_sim=2)
-                )
-            assert stats == reference, f"vector={vec} parallel diverged"
+        serial seed cell."""
+        with _engine(SEED_CELL):
+            serial = _simulate("matrixmul", "flags", sim_sms=2,
+                               max_ctas_per_sm_sim=2)
+        for cell in (DEFAULT_CELL, SEED_CELL):
+            with _engine(cell):
+                parallel = _simulate("matrixmul", "flags", sim_sms=2,
+                                     max_ctas_per_sm_sim=2, jobs=2)
+            assert parallel[0] == serial[0], f"parallel {cell} stats"
+            assert parallel[1] == serial[1], f"parallel {cell} memory"
 
-    def test_spill_path_is_bit_identical(self, monkeypatch):
+    def test_spill_path_is_bit_identical(self):
         """Deep shrink with spill/fill churn: warps round-trip their
         registers through memory, the harshest test of the permanent
         row views."""
         runs = {}
-        for vec in ("1", "0"):
-            monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
-            result = _simulate("matrixmul", "shrink", scale=1.0,
-                               fraction=0.18, waves=2)
-            runs[vec] = (_comparable(result), result.stats.spill_events)
-        assert runs["1"][1] > 0, "sample must actually exercise spills"
-        assert runs["1"][0] == runs["0"][0]
+        for cell in (DEFAULT_CELL, SEED_CELL):
+            with _engine(cell):
+                runs[cell] = _simulate("matrixmul", "shrink", scale=1.0,
+                                       fraction=0.18, waves=2)
+        assert runs[DEFAULT_CELL][0]["spill_events"] > 0, (
+            "sample must actually exercise spills"
+        )
+        _assert_cells_match_seed("spill", runs)
 
 
 def _alias_kernel():
@@ -256,32 +244,30 @@ class TestMaskEdgeWorkloads:
 
     @pytest.mark.parametrize("mode", ("baseline", "flags"))
     @pytest.mark.parametrize("name", sorted(MASK_EDGE_KERNELS))
-    def test_vector_matches_reference(self, name, mode, monkeypatch):
-        runs, images = {}, {}
-        for vec in ("1", "0"):
-            monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
-            result, image = _run_kernel(MASK_EDGE_KERNELS[name](), mode)
-            runs[vec] = _comparable(result)
-            images[vec] = image
-        assert runs["1"] == runs["0"], f"{name}/{mode} stats diverged"
-        assert images["1"] == images["0"], f"{name}/{mode} memory diverged"
+    def test_vector_matches_reference(self, name, mode):
+        runs = {}
+        for cell in FULL_GRID:
+            with _engine(cell):
+                result, image = _run_kernel(MASK_EDGE_KERNELS[name](), mode)
+            runs[cell] = (_comparable(result), image)
+        _assert_cells_match_seed(f"{name}/{mode}", runs)
 
-    def test_alias_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
-        _, image = _run_kernel(_alias_kernel(), "baseline")
+    def test_alias_values(self):
+        with _engine(DEFAULT_CELL):
+            _, image = _run_kernel(_alias_kernel(), "baseline")
         for tid in range(1, 32):
             assert image[tid * 8] == 8 * tid
 
-    def test_guarded_setp_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
-        _, image = _run_kernel(_guarded_setp_kernel(), "baseline")
+    def test_guarded_setp_values(self):
+        with _engine(DEFAULT_CELL):
+            _, image = _run_kernel(_guarded_setp_kernel(), "baseline")
         for tid in range(1, 32):
             expected = 42 if 8 <= tid < 16 else 7
             assert image[tid * 8] == expected, tid
 
-    def test_dead_store_writes_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
-        _, image = _run_kernel(_dead_store_kernel(), "baseline")
+    def test_dead_store_writes_nothing(self):
+        with _engine(DEFAULT_CELL):
+            _, image = _run_kernel(_dead_store_kernel(), "baseline")
         assert 99 not in image.values()
         for tid in range(1, 32):
             assert image[tid * 8] == tid
@@ -292,7 +278,7 @@ class _FakeCta:
 
 
 class TestVectorWarp:
-    """Storage invariants the vector execute path relies on."""
+    """Storage invariants the issue frame relies on."""
 
     def _warp(self, num_regs=4, num_preds=2):
         return VectorWarp(slot=0, cta=_FakeCta(), warp_in_cta=0,
@@ -343,47 +329,77 @@ class TestVectorWarp:
         assert warp.preds is None
 
 
-class TestPlumbing:
-    def _core(self, policy="two_level"):
-        workload = get_workload("matrixmul", scale=0.5)
-        config = GPUConfig.renamed(scheduler_policy=policy)
-        compiled = compile_kernel(workload.kernel, workload.launch, config)
-        return SMCore(config, compiled.kernel, workload.launch,
-                      mode="flags", threshold=compiled.renaming_threshold)
+#: Cores the binding tests build: label -> (configuration, mode,
+#: SMCore options). Flags-mode kernels are compiled first.
+BINDING_CORES = {
+    "baseline": (GPUConfig.baseline(), "baseline", {}),
+    "flags": (GPUConfig.renamed(), "flags", {}),
+    "redefine": (GPUConfig.renamed(), "redefine", {}),
+    "traced-flags": (
+        GPUConfig.renamed(), "flags", dict(trace_warp_slots=(0, 1))
+    ),
+    "rfc-baseline": (
+        GPUConfig.baseline(rfc_entries_per_warp=6), "baseline", {}
+    ),
+}
 
-    def test_env_flag_selects_engine(self, monkeypatch):
-        # The vector paths bind only on top of the decode cache; pin it
-        # on so this tests the vector binding whatever env the suite
-        # runs under.
+
+class TestPlumbing:
+    """How a core binds its issue and tick entry points and its warp
+    layout."""
+
+    def _core(self, label="flags", policy=None):
+        config, mode, opts = BINDING_CORES[label]
+        if policy is not None:
+            config = config.replace(scheduler_policy=policy)
+        workload = get_workload("matrixmul", scale=0.5)
+        kernel = workload.kernel.clone()
+        if mode == "flags":
+            compiled = compile_kernel(kernel, workload.launch, config)
+            kernel = compiled.kernel
+            opts = dict(opts, threshold=compiled.renaming_threshold)
+        return SMCore(config, kernel, workload.launch, mode=mode, **opts)
+
+    @pytest.mark.parametrize("label", sorted(BINDING_CORES))
+    def test_cached_cores_issue_through_the_frame(self, label,
+                                                  monkeypatch):
+        """Every register mode, traced or with a register file cache,
+        issues through the class's own frame and rotation tick: nothing
+        is bound on the instance, so the core holds no reference to
+        itself."""
         monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "0")
-        core = self._core()
-        assert core.vector_lanes is False
+        core = self._core(label)
         assert core._try_issue.__func__ is SMCore._try_issue
         assert core.tick.__func__ is SMCore.tick
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
-        core = self._core()
-        assert core.vector_lanes is True
-        assert core._try_issue.__func__ is SMCore._try_issue_vector
-        assert core.tick.__func__ is SMCore._tick_vector
+        assert "_try_issue" not in vars(core)
+        assert "tick" not in vars(core)
+        # Only the paper's configuration inlines the renaming table.
+        assert core._inline_renaming is (label == "flags")
 
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_LANES", raising=False)
-        assert self._core().vector_lanes is True
+    def test_env_flag_selects_engine(self, monkeypatch):
+        """``REPRO_DECODE_CACHE=0`` rebinds the seed path's issue and
+        tick on the instance, in every register mode."""
+        monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
+        for label in BINDING_CORES:
+            core = self._core(label)
+            assert core._try_issue.__func__ is SMCore._try_issue_uncached
+            assert core.tick.__func__ is SMCore._tick_generic
 
     def test_gto_keeps_reference_tick(self, monkeypatch):
         """The inlined tick only covers the rotation policies; gto must
-        fall back to the generic tick (but keep the vector issue)."""
+        fall back to the generic tick (but keep the issue frame)."""
         monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
-        core = self._core(policy="gto")
-        assert core._try_issue.__func__ is SMCore._try_issue_vector
-        assert core.tick.__func__ is SMCore.tick
+        for label in ("baseline", "flags", "redefine"):
+            core = self._core(label, policy="gto")
+            assert core._try_issue.__func__ is SMCore._try_issue
+            assert core.tick.__func__ is SMCore._tick_generic
 
     def test_warp_class_follows_flag(self, monkeypatch, straight_kernel):
+        """Warp layout follows the decode cache: struct-of-arrays on
+        the cached path, the dict layout on the seed path."""
         launch = LaunchConfig(1, 32, conc_ctas_per_sm=1)
-        for vec, cls in (("1", VectorWarp), ("0", Warp)):
-            monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
+        for cache, cls in (("1", VectorWarp), ("0", Warp)):
+            monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
             core = SMCore(GPUConfig.baseline(), straight_kernel.clone(),
                           launch, mode="baseline")
             core.cta_queue = [0]
@@ -393,10 +409,3 @@ class TestPlumbing:
                 assert cta.warps
                 for warp in cta.warps:
                     assert type(warp) is cls
-
-    def test_engine_fingerprint_splits_cache_key(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
-        vector = engine_fingerprint()
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "0")
-        scalar = engine_fingerprint()
-        assert vector != scalar

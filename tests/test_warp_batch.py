@@ -4,7 +4,7 @@ Two small kernels reach the same pcs by unusual routes: lanes of one
 warp split at a guarded write, so warps issue the same pc under
 different active-lane patterns; and a loop's back edge lands in the
 middle of a straight-line run of ALU work. Each runs in flags mode on
-every cell of the vector-lanes x decode-cache x cycle-skip grid (see
+every cell of the decode-cache x cycle-skip grid (see
 test_vector_lanes.py), and every :class:`SimStats` field except the
 ``ticks_executed`` / ``skipped_cycles`` diagnostics — and the final
 global-memory image — must equal the seed path's. The values the
