@@ -6,9 +6,9 @@ bit-identical results — the only difference is that a repeated call
 with content-identical inputs is answered from the
 :class:`~repro.cache.store.ResultCache` instead of re-simulating.
 
-The benchmark harness (:mod:`repro.analysis.bench`) deliberately calls
-the raw ``simulate``/``compile_kernel`` so its timings always measure
-real work.
+The repository benchmark's ``modes`` workload (``perfbench/``) runs
+the simulator with the result cache disabled, so its timings always
+measure real work.
 """
 
 from __future__ import annotations

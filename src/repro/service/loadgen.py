@@ -28,6 +28,9 @@ Reported numbers:
 * ``mismatches`` — responses whose SimStats payload differs from the
   direct run in any field (must be zero).
 
+``--gate`` turns the run into a pass/fail check: dedupe, throughput
+speedup and verification must clear the ``GATE_*`` floors below.
+
 Usage::
 
     python -m repro.service.loadgen --spawn --quick --gate
@@ -57,10 +60,12 @@ from repro.service.client import (
     wait_until_ready,
 )
 
-#: Gate floors (see also ``repro.analysis.bench``): single-flight must
-#: at least halve the executed simulations on the flash-crowd mix, and
-#: every response must match the direct run exactly.
+#: Gate floors: single-flight must at least halve the executed
+#: simulations on the flash-crowd mix, the daemon must serve the mix at
+#: least 3x faster than the no-cache sequential baseline, and every
+#: response must match the direct run exactly.
 GATE_DEDUPE_FLOOR = 2.0
+GATE_SPEEDUP_FLOOR = 3.0
 
 
 def flow_universe(scale: float = 1.0, waves: int | None = 2) -> list[tuple]:
@@ -336,30 +341,8 @@ class SpawnedDaemon:
         self.stop()
 
 
-def run_service_bench(quick: bool = False, jobs: int | None = None) -> dict:
-    """Spawn a fresh daemon and run the standard benchmark mix.
-
-    The v7 ``service`` section of ``BENCH_hotpath.json``: quick keeps
-    CI fast (smaller kernels, one CTA wave), the full run is the
-    committed heavy-traffic number.
-    """
-    if jobs is None:
-        jobs = min(4, os.cpu_count() or 2)
-    # Ratios chosen so a healthy daemon clears the bench gate floors
-    # with margin even on a single-core runner, where the speedup is
-    # pure dedupe (coalescing + response cache) with no parallelism.
-    settings = (
-        dict(requests=120, unique=20, scale=0.5, waves=1)
-        if quick else dict(requests=256, unique=24, scale=1.0, waves=2)
-    )
-    with SpawnedDaemon(jobs=jobs) as daemon:
-        record = run_load(daemon.address, clients=8, **settings)
-    record["daemon"]["jobs"] = jobs
-    return record
-
-
-def gate_load(record: dict, dedupe_floor: float = GATE_DEDUPE_FLOOR,
-              speedup_floor: float | None = None) -> list[str]:
+def gate_load(record: dict, dedupe_floor: float = GATE_DEDUPE_FLOOR
+              ) -> list[str]:
     """Pass/fail check; returns error strings (empty = pass)."""
     errors = []
     dedupe = record.get("single_flight_dedupe") or 0.0
@@ -375,13 +358,12 @@ def gate_load(record: dict, dedupe_floor: float = GATE_DEDUPE_FLOOR,
         )
     if not record.get("verified"):
         errors.append("gate: run with verification enabled")
-    if speedup_floor is not None:
-        speedup = record.get("throughput_speedup") or 0.0
-        if speedup < speedup_floor:
-            errors.append(
-                f"gate: served throughput {speedup:.2f}x the no-cache "
-                f"baseline, below floor {speedup_floor:.1f}x"
-            )
+    speedup = record.get("throughput_speedup") or 0.0
+    if record.get("verified") and speedup < GATE_SPEEDUP_FLOOR:
+        errors.append(
+            f"gate: served throughput {speedup:.2f}x the no-cache "
+            f"baseline, below floor {GATE_SPEEDUP_FLOOR:.1f}x"
+        )
     return errors
 
 
@@ -464,7 +446,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--gate", action="store_true",
         help=f"fail unless single-flight dedupe >= "
-        f"{GATE_DEDUPE_FLOOR:.1f}x and responses match the direct run",
+        f"{GATE_DEDUPE_FLOOR:.1f}x, served throughput >= "
+        f"{GATE_SPEEDUP_FLOOR:.1f}x the no-cache baseline and responses "
+        "match the direct run",
     )
     args = parser.parse_args(argv)
     scale, waves = args.scale, args.waves
@@ -500,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(error, file=sys.stderr)
             return 1
         print(f"gate: pass (dedupe floor {GATE_DEDUPE_FLOOR:.1f}x, "
-              "0 mismatches)")
+              f"throughput floor {GATE_SPEEDUP_FLOOR:.1f}x, 0 mismatches)")
     return 0
 
 

@@ -249,14 +249,17 @@ class SMCore:
                 )
             self._decode = self._decode_cache.entries
 
-        # Issue and tick binding (see docs/INTERNALS.md, "Fast-path
+        # Issue and tick selection (see docs/INTERNALS.md, "Fast-path
         # binding"). The decode-cached frame is the class's own
-        # ``_try_issue`` and the rotation tick its own ``tick``, so a
-        # default core stores no bound method of itself and reference
-        # counting frees it. Seed-path cores rebind both on the
-        # instance (a reference cycle, left to the collector);
-        # greedy-then-oldest cores rebind only the tick, since their
-        # selection stays in the scheduler's candidates()/issued().
+        # ``_try_issue`` and the rotation tick its own ``tick``. Seed-path
+        # and greedy-then-oldest cores tick through ``_tick_generic``
+        # instead (gto's selection stays in the scheduler's
+        # candidates()/issued()), which picks the seed path's issue
+        # function once per tick. No core stores a bound method of
+        # itself, so reference counting frees every finished core.
+        self._generic_tick = (
+            self._decode is None or config.scheduler_policy == "gto"
+        )
         self._underprov = config.is_underprovisioned
         # Whether the frame inlines the renaming table's write and
         # release: tracer-less flags mode with bank-preserving
@@ -266,11 +269,6 @@ class SMCore:
             and self.renaming.tracer is None
             and config.bank_preserving_renaming
         )
-        if self._decode is None:
-            self._try_issue = self._try_issue_uncached
-            self.tick = self._tick_generic
-        elif config.scheduler_policy == "gto":
-            self.tick = self._tick_generic
 
     # ------------------------------------------------------------------ events
     def _push_event(self, cycle: int, kind: str, payload: tuple) -> None:
@@ -1231,8 +1229,12 @@ class SMCore:
     def _tick_generic(self) -> None:
         """One cycle through the scheduler's own ``candidates`` /
         ``issued`` calls: the seed path's tick, and the tick of
-        greedy-then-oldest cores (both bind it on the instance)."""
+        greedy-then-oldest cores (``tick`` delegates here for both)."""
         now = self.cycle
+        try_issue = (
+            self._try_issue_uncached if self._decode is None
+            else self._try_issue
+        )
         if self._events:
             self._process_events(now)
         if self.cta_queue:
@@ -1274,7 +1276,7 @@ class SMCore:
                 forbid = (
                     restricted is not None and warp.cta.uid != restricted
                 )
-                outcome = self._try_issue(warp, now, forbid_alloc=forbid)
+                outcome = try_issue(warp, now, forbid_alloc=forbid)
                 if outcome is _Issue.ISSUED:
                     sched.issued(warp)
                     stats.issued += 1
@@ -1318,7 +1320,10 @@ class SMCore:
         round-robin ``candidates``/``issued`` fast paths and the
         throttle no-op unrolled inline. The stall/issue accounting is
         line-for-line ``_tick_generic``'s — the equivalence grids
-        compare every :class:`SimStats` field across the two ticks."""
+        compare every :class:`SimStats` field across the two ticks.
+        Seed-path and greedy-then-oldest cores run ``_tick_generic``."""
+        if self._generic_tick:
+            return self._tick_generic()
         now = self.cycle
         events = self._events
         if events and events[0][0] <= now:

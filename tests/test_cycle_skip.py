@@ -129,6 +129,17 @@ class TestDiagnostics:
         assert stats.skipped_cycles > 0
         assert stats.ticks_executed + stats.skipped_cycles == stats.cycles
 
+    @pytest.mark.parametrize("name", ("scalarprod", "backprop", "lud"))
+    def test_deep_shrink_skips_most_cycles(self, name):
+        """Throttle-dominated (scalarprod, backprop) and latency-bound
+        (lud) kernels at a deep shrink spend most cycles dead: the skip
+        engine must jump over at least half of them instead of silently
+        degenerating into the per-cycle path."""
+        stats = _simulate(name, "shrink", fraction=0.15,
+                          cycle_skip=True).stats
+        assert stats.skipped_cycles >= stats.cycles / 2
+        assert stats.ticks_executed + stats.skipped_cycles == stats.cycles
+
     def test_per_cycle_path_skips_nothing(self):
         result = _simulate("matrixmul", "shrink", cycle_skip=False)
         assert result.stats.skipped_cycles == 0

@@ -13,7 +13,8 @@ The serving contract under test:
 * failures propagate to every coalesced waiter as error responses and
   never poison the key or leak a pin;
 * the daemon keeps serving after an over-long request line and after
-  its pool worker dies.
+  its pool worker dies, and a client that hangs up does not cancel an
+  execution another client joined.
 """
 
 from __future__ import annotations
@@ -491,6 +492,72 @@ class TestFaults:
             thread.join(timeout=30)
         assert not thread.is_alive()
 
+    def test_client_disconnect_keeps_a_joined_execution(self, tmp_path):
+        # Client A's miss is executing; client B joins it; A hangs up.
+        # B must still get the result, and the daemon keeps serving.
+        spec = _spec()
+        previous = swap_cache(ResultCache(enabled=False))
+        try:
+            direct = protocol.response_payload("baseline", run_flow(spec))
+        finally:
+            swap_cache(previous)
+        daemon, address, thread = self._serve(tmp_path)
+        started, release = threading.Event(), threading.Event()
+        run_request = daemon._run_request
+
+        async def gated(request):
+            started.set()
+            await asyncio.get_running_loop().run_in_executor(
+                None, release.wait
+            )
+            return await run_request(request)
+
+        daemon._run_request = gated
+        request = protocol.spec_to_request(spec)
+        joined = concurrent.futures.ThreadPoolExecutor(max_workers=1)
+        try:
+            client_a = ServiceClient.connect(address)
+            client_a._file.write(protocol.encode_line(request))
+            client_a._file.flush()
+            assert started.wait(timeout=30)
+
+            def submit_b():
+                with ServiceClient.connect(address) as client_b:
+                    return client_b.submit(request)
+
+            response_b = joined.submit(submit_b)
+            deadline = time.monotonic() + 30
+            while daemon.metrics.coalesced < 1:
+                assert time.monotonic() < deadline, "B never joined"
+                time.sleep(0.01)
+            client_a.close()
+            time.sleep(0.2)  # let the daemon see A's end of stream
+            release.set()
+
+            served = response_b.result(timeout=60)
+            assert served["served"] == "coalesced"
+            for field in dataclasses.fields(SimStats):
+                assert (
+                    served["stats"][field.name]
+                    == direct["stats"][field.name]
+                ), field.name
+            with ServiceClient.connect(address) as client:
+                again = client.submit(request)
+                assert again["served"] == "cache"
+                assert again["stats"] == served["stats"]
+                stats = client.stats()
+                assert stats["executed"] == 1
+                assert stats["coalesced"] == 1
+                assert stats["errors"] == 0
+                assert stats["in_flight"] == 0
+                client.shutdown()
+        finally:
+            release.set()
+            joined.shutdown(wait=True)
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not daemon.cache.pinned()
+
     def test_pool_is_rebuilt_after_its_worker_dies(self, tmp_path):
         spec = _spec(name="gaussian")
         previous = swap_cache(ResultCache(enabled=False))
@@ -613,7 +680,13 @@ class TestLoadgen:
         assert loadgen.gate_load(dict(record, single_flight_dedupe=1.2))
         assert loadgen.gate_load(dict(record, mismatches=2))
         assert loadgen.gate_load(dict(record, verified=False))
-        assert loadgen.gate_load(record, speedup_floor=8.0)
+        floor = loadgen.GATE_SPEEDUP_FLOOR
+        assert loadgen.gate_load(dict(record, throughput_speedup=floor)) \
+            == []
+        slow = loadgen.gate_load(
+            dict(record, throughput_speedup=floor - 0.1)
+        )
+        assert any("throughput" in error for error in slow)
 
     def test_diff_fields_pinpoints_mismatches(self):
         served = {"mode": "baseline", "stats": {"cycles": 2, "x": 1}}

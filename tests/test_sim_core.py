@@ -368,23 +368,30 @@ class TestRenamingTableConflicts:
         assert result.stats.renaming_conflict_cycles == 0
 
 
+#: (mode, decode cache) cases of the reference-counting test: every
+#: register mode, traced and greedy-then-oldest, on both decode paths.
+LIFETIME_CASES = [
+    pytest.param(mode, cache, id=mode if cache == "1" else f"seed-{mode}")
+    for cache in ("1", "0")
+    for mode in ("baseline", "flags", "redefine", "traced", "gto")
+]
+
+
 class TestReferenceCounting:
     """A finished simulation is freed by reference counting alone: no
     reference cycle keeps a core, a CTA or a warp alive until the
     cyclic garbage collector happens to run."""
 
-    @pytest.mark.parametrize("mode", ("baseline", "flags", "redefine",
-                                      "traced"))
+    @pytest.mark.parametrize("mode,decode_cache", LIFETIME_CASES)
     def test_finished_gpu_is_freed_without_collector(
-        self, mode, loop_kernel, monkeypatch
+        self, mode, decode_cache, loop_kernel, monkeypatch
     ):
-        # Seed-path cores bind their reference issue and tick methods
-        # on the instance (a cycle by design); pin the decode cache on
-        # so this checks the default cores whatever the suite runs
-        # under.
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
+        monkeypatch.setenv("REPRO_DECODE_CACHE", decode_cache)
         if mode == "baseline":
             config, kernel, opts = GPUConfig.baseline(), loop_kernel, {}
+        elif mode == "gto":
+            config = GPUConfig.baseline().replace(scheduler_policy="gto")
+            kernel, opts = loop_kernel, dict(mode="baseline")
         elif mode == "redefine":
             config, kernel, opts = GPUConfig.renamed(), loop_kernel, {}
         else:

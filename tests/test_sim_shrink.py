@@ -161,13 +161,13 @@ class TestThrottle:
         core = make_core(pressure_kernel(8), launch, GPUConfig.shrunk(0.125))
         core._launch_ctas(0)
         warp = core.resident[0].warps[0]
+        try_issue = (core._try_issue_uncached if core._decode is None
+                     else core._try_issue)
         # First instruction writes r0, which is unmapped: under a
         # throttle restriction the allocation is forbidden outright.
-        assert core._try_issue(warp, 0, forbid_alloc=True) \
-            is _Issue.FORBIDDEN
+        assert try_issue(warp, 0, forbid_alloc=True) is _Issue.FORBIDDEN
         # Without the restriction the same issue succeeds.
-        assert core._try_issue(warp, 0, forbid_alloc=False) \
-            is _Issue.ISSUED
+        assert try_issue(warp, 0, forbid_alloc=False) is _Issue.ISSUED
 
 
 class TestDeadlockGuard:

@@ -373,26 +373,52 @@ class TestPlumbing:
         assert core.tick.__func__ is SMCore.tick
         assert "_try_issue" not in vars(core)
         assert "tick" not in vars(core)
+        assert not core._generic_tick
         # Only the paper's configuration inlines the renaming table.
         assert core._inline_renaming is (label == "flags")
 
     def test_env_flag_selects_engine(self, monkeypatch):
-        """``REPRO_DECODE_CACHE=0`` rebinds the seed path's issue and
-        tick on the instance, in every register mode."""
+        """``REPRO_DECODE_CACHE=0`` sends every register mode through
+        the generic tick and the seed path's issue function, with
+        nothing bound on the instance."""
         monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
+        calls = []
+        uncached = SMCore._try_issue_uncached
+
+        def spy(core, *args, **kwargs):
+            calls.append(core)
+            return uncached(core, *args, **kwargs)
+
+        monkeypatch.setattr(SMCore, "_try_issue_uncached", spy)
         for label in BINDING_CORES:
             core = self._core(label)
-            assert core._try_issue.__func__ is SMCore._try_issue_uncached
-            assert core.tick.__func__ is SMCore._tick_generic
+            assert core._decode is None and core._generic_tick
+            assert "_try_issue" not in vars(core)
+            assert "tick" not in vars(core)
+            core.cta_queue = [0]
+            while core.cycle < 20:
+                core.tick()
+            assert calls.count(core) > 0, label
 
     def test_gto_keeps_reference_tick(self, monkeypatch):
         """The inlined tick only covers the rotation policies; gto must
         fall back to the generic tick (but keep the issue frame)."""
         monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
+        calls = []
+        generic = SMCore._tick_generic
+
+        def spy(core):
+            calls.append(core)
+            return generic(core)
+
+        monkeypatch.setattr(SMCore, "_tick_generic", spy)
         for label in ("baseline", "flags", "redefine"):
             core = self._core(label, policy="gto")
             assert core._try_issue.__func__ is SMCore._try_issue
-            assert core.tick.__func__ is SMCore._tick_generic
+            assert core._generic_tick
+            assert "tick" not in vars(core)
+            core.tick()
+            assert calls[-1] is core
 
     def test_warp_class_follows_flag(self, monkeypatch, straight_kernel):
         """Warp layout follows the decode cache: struct-of-arrays on
