@@ -9,7 +9,7 @@ with the paper's GPU-shrink-40 % / -30 % data points).
 Run: python examples/gpu_shrink_study.py
 """
 
-from repro.analysis import (
+from repro.analysis.runners import (
     run_baseline,
     run_compiler_spill_baseline,
     run_virtualized,

@@ -8,12 +8,9 @@ cross-warp scheduling skew that enables physical register sharing
 Run: python examples/matrixmul_virtualization.py
 """
 
-from repro.analysis import (
-    live_register_series,
-    register_lifetime_intervals,
-    run_baseline,
-    run_virtualized,
-)
+from repro.analysis.lifetime_trace import register_lifetime_intervals
+from repro.analysis.liveness_trace import live_register_series
+from repro.analysis.runners import run_baseline, run_virtualized
 from repro.workloads import get_workload
 
 

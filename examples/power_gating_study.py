@@ -8,7 +8,7 @@ sub-array wake-up latency sensitivity (Fig. 11b) is swept.
 Run: python examples/power_gating_study.py
 """
 
-from repro.analysis import run_baseline, run_virtualized
+from repro.analysis.runners import run_baseline, run_virtualized
 from repro.arch import GPUConfig
 from repro.power import energy_breakdown
 from repro.workloads import get_workload

@@ -14,7 +14,7 @@ the same benchmarks and prints a side-by-side:
 Run: python examples/related_work_comparison.py
 """
 
-from repro.analysis import (
+from repro.analysis.runners import (
     run_baseline,
     run_hardware_only_baseline,
     run_virtualized,

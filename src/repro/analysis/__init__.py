@@ -1,24 +1,1 @@
 """Analysis utilities shared by the experiments and the examples."""
-
-from repro.analysis.runners import (
-    RunArtifacts,
-    run_baseline,
-    run_compiler_spill_baseline,
-    run_hardware_only_baseline,
-    run_virtualized,
-)
-from repro.analysis.liveness_trace import live_register_series
-from repro.analysis.lifetime_trace import register_lifetime_intervals
-from repro.analysis.tables import Table, render_table
-
-__all__ = [
-    "RunArtifacts",
-    "run_baseline",
-    "run_compiler_spill_baseline",
-    "run_hardware_only_baseline",
-    "run_virtualized",
-    "live_register_series",
-    "register_lifetime_intervals",
-    "Table",
-    "render_table",
-]

@@ -30,9 +30,9 @@ def _snapshot(workload, config: GPUConfig, mode: str, threshold: int = 0):
     core = SMCore(config, workload.kernel, workload.launch, mode=mode,
                   threshold=threshold)
     core.cta_queue = list(range(workload.table1.conc_ctas_per_sm))
-    for _ in range(SNAPSHOT_CYCLES):
-        if core.done():
-            break
+    # Stop at a simulated cycle, not a tick count: one tick may skip
+    # ahead many cycles, and a skipped span changes no register state.
+    while core.cycle < SNAPSHOT_CYCLES and not core.done():
         core.tick()
     occupancy = core.regfile.occupancy_map()
     powered = sum(

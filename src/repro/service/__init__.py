@@ -15,11 +15,7 @@ top of both:
   simulation), executes misses on a process pool sharing the disk
   cache, and serves live metrics on the ``stats`` endpoint;
 * :mod:`repro.service.client` — sync and async clients speaking the
-  protocol over a unix socket or local TCP;
-* :mod:`repro.service.loadgen` — the load-generator benchmark:
-  N concurrent clients replaying a zipf-distributed request mix, with
-  every response verified bit-identical per ``SimStats`` field against
-  a direct uncached run.
+  protocol over a unix socket or local TCP.
 
 Start a server with ``python -m repro.experiments.runner --serve`` (or
 ``python -m repro.service.daemon``); talk to it with

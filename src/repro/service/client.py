@@ -3,7 +3,7 @@
 Both speak the JSON-lines protocol over a unix socket (default) or
 local TCP. One connection carries one request at a time (the daemon
 answers in order); concurrency comes from opening multiple
-connections, which is exactly what the load generator does.
+connections, which is what :func:`submit_requests` does.
 
 Usage::
 
@@ -156,25 +156,8 @@ class AsyncServiceClient:
             raise ServiceError("connection closed by daemon")
         return _check(protocol.decode_line(line))
 
-    async def simulate(self, flow: str, workload: str, scale: float = 1.0,
-                       kwargs: dict | None = None) -> dict:
-        return await self.request({
-            "op": "simulate", "v": protocol.PROTOCOL_VERSION,
-            "flow": flow, "workload": workload, "scale": scale,
-            "kwargs": kwargs or {},
-        })
-
     async def submit(self, request: dict) -> dict:
         return await self.request(request)
-
-    async def stats(self) -> dict:
-        return await self.request({"op": "stats"})
-
-    async def ping(self) -> dict:
-        return await self.request({"op": "ping"})
-
-    async def shutdown(self) -> dict:
-        return await self.request({"op": "shutdown"})
 
     async def close(self) -> None:
         self._writer.close()
@@ -235,17 +218,3 @@ def submit_requests(
         return [response for response in results if response is not None]
 
     return asyncio.run(_run())
-
-
-def submit_specs(
-    address: str, specs: list[tuple], connections: int = 8
-) -> list[dict]:
-    """Send planner flow specs to a daemon; responses in input order."""
-    return submit_requests(
-        address,
-        [
-            protocol.spec_to_request(spec, id=index)
-            for index, spec in enumerate(specs)
-        ],
-        connections=connections,
-    )

@@ -35,11 +35,13 @@ excluded; a longer one is dropped and answered with an error.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
+from typing import TYPE_CHECKING
 
 from repro.arch import GPUConfig
-from repro.cache.fingerprint import engine_fingerprint, fingerprint
-from repro.sim.stats import SimStats
+
+if TYPE_CHECKING:  # clients encode requests without loading the simulator
+    from repro.sim.stats import SimStats
 
 #: Bump on incompatible wire/schema changes; part of every request and
 #: of the daemon's response-cache key.
@@ -175,6 +177,7 @@ def service_key(spec: tuple) -> str:
     payload layout is part of what is cached).
     """
     from repro.analysis.runners import normalize_spec
+    from repro.cache.fingerprint import engine_fingerprint, fingerprint
 
     flow, workload, kwargs = normalize_spec(spec)
     return fingerprint(
@@ -204,6 +207,8 @@ def stats_payload(stats: SimStats) -> dict:
     served and locally computed stats, so payload equality *is*
     per-field bit-identity.
     """
+    from repro.sim.stats import SimStats
+
     return {
         f.name: _jsonable(getattr(stats, f.name))
         for f in fields(SimStats)

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.analysis import (
-    Table,
-    live_register_series,
-    register_lifetime_intervals,
-    run_baseline,
-    run_virtualized,
-)
+from repro.analysis.lifetime_trace import register_lifetime_intervals
+from repro.analysis.liveness_trace import live_register_series
+from repro.analysis.runners import run_baseline, run_virtualized
+from repro.analysis.tables import Table
 from repro.workloads import get_workload
 
 

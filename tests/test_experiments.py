@@ -217,6 +217,16 @@ def test_fig08_consolidation_frees_subarrays():
     assert grids["w/ renaming"] < grids["w/o renaming"]
 
 
+def test_fig08_snapshot_does_not_depend_on_cycle_skip(monkeypatch):
+    # The snapshot is a simulated cycle; how the engine reaches it (one
+    # tick per cycle, or ticks that skip idle spans) must not show.
+    texts = []
+    for skip in ("1", "0"):
+        monkeypatch.setenv("REPRO_CYCLE_SKIP", skip)
+        texts.append(get_experiment("fig08")().render())
+    assert texts[0] == texts[1]
+
+
 def test_experiment_render_includes_claims():
     result = get_experiment("fig07")()
     text = result.render()

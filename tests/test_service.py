@@ -12,9 +12,15 @@ The serving contract under test:
   direct uncached run — the service may never change an answer;
 * failures propagate to every coalesced waiter as error responses and
   never poison the key or leak a pin;
-* the daemon keeps serving after an over-long request line and after
-  its pool worker dies, and a client that hangs up does not cancel an
-  execution another client joined.
+* flash crowds over a unix socket: waves of identical requests from
+  eight connections execute once per flow, with exact counts, while a
+  capped disk cache evicts under the cap;
+* the daemon keeps serving after an over-long, torn or non-JSON request
+  line and after its pool worker dies (idle, or mid-run under a joined
+  request), and a client that hangs up does not cancel an execution
+  another client joined;
+* a spawned daemon whose orderly stop fails is killed with its whole
+  process group.
 """
 
 from __future__ import annotations
@@ -25,7 +31,12 @@ import dataclasses
 import gc
 import multiprocessing.connection
 import os
+import pathlib
 import signal
+import socket
+import subprocess
+import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -38,7 +49,7 @@ from repro.arch import GPUConfig
 from repro.cache import ResultCache, swap_cache
 from repro.cache.store import MISS
 from repro.experiments.planner import SweepPlan
-from repro.service import loadgen, protocol
+from repro.service import protocol
 from repro.service.client import (
     AsyncServiceClient,
     ServiceClient,
@@ -56,6 +67,45 @@ from repro.workloads.suite import get_workload
 def _spec(flow="baseline", name="vectoradd", scale=0.25, **kwargs):
     kwargs.setdefault("waves", 1)
     return (flow, get_workload(name, scale=scale), kwargs)
+
+
+def _direct(spec):
+    """The response payload of a direct run of ``spec``, cache off."""
+    previous = swap_cache(ResultCache(enabled=False))
+    try:
+        return protocol.response_payload(spec[0], run_flow(spec))
+    finally:
+        swap_cache(previous)
+
+
+def _assert_matches_direct(served, direct):
+    """The correctness contract: a served payload equals the direct
+    uncached run in every SimStats field."""
+    for field in ("mode", "ctas_simulated", "cycles", "instructions"):
+        assert served[field] == direct[field], field
+    for field in dataclasses.fields(SimStats):
+        assert (
+            served["stats"][field.name] == direct["stats"][field.name]
+        ), field.name
+
+
+def _serve(tmp_path, max_bytes=None):
+    """An in-process daemon (one pool worker) on a unix socket, served
+    from a daemon thread; returns ``(daemon, address, thread)``."""
+    address = str(tmp_path / "svc.sock")
+    daemon = SimulationDaemon(
+        cache=ResultCache(directory=tmp_path / "cache", max_bytes=max_bytes),
+        jobs=1,
+    )
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=asyncio.run,
+        args=(daemon.run(address, ready=ready.set),),
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(timeout=30)
+    return daemon, address, thread
 
 
 class TestProtocol:
@@ -148,12 +198,7 @@ class TestProtocol:
         assert payload["cycles"] == 7
 
     def test_response_payload_for_a_flow_result(self):
-        spec = _spec()
-        previous = swap_cache(ResultCache(enabled=False))
-        try:
-            payload = protocol.response_payload("baseline", run_flow(spec))
-        finally:
-            swap_cache(previous)
+        payload = _direct(_spec())
         assert payload["flow"] == "baseline"
         assert payload["mode"] == "baseline"
         assert payload["cycles"] == payload["stats"]["cycles"] > 0
@@ -403,13 +448,7 @@ class TestEndToEnd:
             assert ready.wait(timeout=30)
             wait_until_ready(address, timeout=30)
             spec = _spec()
-            previous = swap_cache(ResultCache(enabled=False))
-            try:
-                direct = protocol.response_payload(
-                    "baseline", run_flow(spec)
-                )
-            finally:
-                swap_cache(previous)
+            direct = _direct(spec)
 
             with ServiceClient.connect(address) as client:
                 assert client.ping()["pong"] is True
@@ -418,16 +457,7 @@ class TestEndToEnd:
                 assert first["ok"] is True
                 assert first["id"] == 7
                 assert first["served"] == "executed"
-                # The correctness contract: every SimStats field of the
-                # served payload equals the direct uncached run's.
-                for field in dataclasses.fields(SimStats):
-                    assert (
-                        first["stats"][field.name]
-                        == direct["stats"][field.name]
-                    ), field.name
-                for field in ("mode", "ctas_simulated", "cycles",
-                              "instructions"):
-                    assert first[field] == direct[field]
+                _assert_matches_direct(first, direct)
 
                 second = client.submit(protocol.spec_to_request(spec))
                 assert second["served"] == "cache"
@@ -458,29 +488,98 @@ class TestEndToEnd:
         assert not thread.is_alive()
 
 
+#: Connections in the flash-crowd test; each wave sends one flow from all.
+CROWD = 8
+
+
+class TestFlashCrowd:
+    """Waves of identical requests over a unix socket, as a busy
+    dashboard sends them: every connection asks for the same flow at
+    once. Each execution is held until its wave's duplicates have
+    joined, so coalescing is exact rather than a timing race."""
+
+    def test_waves_coalesce_and_match_direct_runs_under_a_disk_cap(
+        self, tmp_path
+    ):
+        specs = [
+            _spec(flow, name)
+            for name in ("vectoradd", "gaussian", "scalarprod")
+            for flow in ("baseline", "virtualized")
+        ]
+        direct = [_direct(spec) for spec in specs]
+        # The six flows write about 31 KB to the disk cache.
+        max_bytes = 16 * 1024
+        daemon, address, thread = _serve(tmp_path, max_bytes=max_bytes)
+        run_request = daemon._run_request
+
+        async def held(request):
+            # Nothing has joined yet: the key went in flight with no
+            # await since. Wait for the rest of the wave to join it.
+            joined = daemon.metrics.coalesced + CROWD - 1
+            deadline = time.monotonic() + 30
+            while daemon.metrics.coalesced < joined:
+                if time.monotonic() > deadline:
+                    raise TimeoutError("the wave never joined")
+                await asyncio.sleep(0.001)
+            return await run_request(request)
+
+        daemon._run_request = held
+        requests = [protocol.spec_to_request(spec) for spec in specs]
+
+        async def drive(rounds):
+            clients = [
+                await AsyncServiceClient.connect(address)
+                for _ in range(CROWD)
+            ]
+            try:
+                return [
+                    await asyncio.gather(
+                        *(client.submit(request) for client in clients)
+                    )
+                    for _ in range(rounds)
+                    for request in requests
+                ]
+            finally:
+                for client in clients:
+                    await client.close()
+
+        try:
+            waves = asyncio.run(drive(rounds=2))
+            with ServiceClient.connect(address) as client:
+                stats = client.stats()
+                client.shutdown()
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+        for index, wave in enumerate(waves):
+            expected = (
+                ["coalesced"] * (CROWD - 1) + ["executed"]
+                if index < len(specs) else ["cache"] * CROWD
+            )
+            assert sorted(r["served"] for r in wave) == expected
+            for served in wave:
+                _assert_matches_direct(served, direct[index % len(specs)])
+        assert stats["executed"] == 6
+        assert stats["coalesced"] == 42
+        assert stats["cache_hits"] == 48
+        assert stats["errors"] == 0
+        assert stats["in_flight"] == 0
+        assert stats["single_flight_dedupe"] >= 2.0
+        assert stats["cache"]["max_bytes"] == max_bytes
+        assert stats["cache"]["evictions"] > 0
+        assert stats["cache"]["disk_bytes"] <= max_bytes
+        assert not daemon.cache.pinned()
+
+
 class TestFaults:
     """A served daemon survives malformed input and a dead worker."""
-
-    def _serve(self, tmp_path):
-        address = str(tmp_path / "svc.sock")
-        daemon = SimulationDaemon(
-            cache=ResultCache(directory=tmp_path / "cache"), jobs=1
-        )
-        ready = threading.Event()
-        thread = threading.Thread(
-            target=asyncio.run,
-            args=(daemon.run(address, ready=ready.set),),
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(timeout=30)
-        return daemon, address, thread
 
     @pytest.mark.parametrize("size", (70_000, 1_000_000))
     def test_oversized_line_gets_an_error_reply(self, tmp_path, size):
         # 70 KB arrives with its newline in one read; 1 MB overruns the
         # buffer before the newline shows up.
-        daemon, address, thread = self._serve(tmp_path)
+        daemon, address, thread = _serve(tmp_path)
         try:
             with ServiceClient.connect(address) as client:
                 with pytest.raises(ServiceError, match="longer than"):
@@ -492,16 +591,63 @@ class TestFaults:
             thread.join(timeout=30)
         assert not thread.is_alive()
 
+    def test_torn_line_then_eof_keeps_the_daemon_serving(self, tmp_path):
+        spec = _spec()
+        direct = _direct(spec)
+        request = protocol.spec_to_request(spec)
+        line = protocol.encode_line(request)
+        daemon, address, thread = _serve(tmp_path)
+        try:
+            with ServiceClient.connect(address) as torn:
+                # Half a request, no newline, then end of stream.
+                torn._file.write(line[: len(line) // 2])
+                torn._file.flush()
+                torn._sock.shutdown(socket.SHUT_WR)
+                reply = protocol.decode_line(torn._file.readline())
+                assert reply["ok"] is False
+                assert "undecodable" in reply["error"]
+                assert torn._file.readline() == b""
+            with ServiceClient.connect(address) as client:
+                served = client.submit(request)
+                assert served["served"] == "executed"
+                _assert_matches_direct(served, direct)
+                stats = client.stats()
+                assert stats["errors"] == 1
+                assert stats["executed"] == 1
+                client.shutdown()
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_non_json_line_errors_and_the_connection_serves_on(
+        self, tmp_path
+    ):
+        spec = _spec()
+        direct = _direct(spec)
+        daemon, address, thread = _serve(tmp_path)
+        try:
+            with ServiceClient.connect(address) as client:
+                client._file.write(b"this is not json\n")
+                client._file.flush()
+                reply = protocol.decode_line(client._file.readline())
+                assert reply["ok"] is False
+                assert "undecodable" in reply["error"]
+                assert client.ping()["pong"] is True
+                served = client.submit(protocol.spec_to_request(spec))
+                assert served["served"] == "executed"
+                _assert_matches_direct(served, direct)
+                assert client.stats()["errors"] == 1
+                client.shutdown()
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
     def test_client_disconnect_keeps_a_joined_execution(self, tmp_path):
         # Client A's miss is executing; client B joins it; A hangs up.
         # B must still get the result, and the daemon keeps serving.
         spec = _spec()
-        previous = swap_cache(ResultCache(enabled=False))
-        try:
-            direct = protocol.response_payload("baseline", run_flow(spec))
-        finally:
-            swap_cache(previous)
-        daemon, address, thread = self._serve(tmp_path)
+        direct = _direct(spec)
+        daemon, address, thread = _serve(tmp_path)
         started, release = threading.Event(), threading.Event()
         run_request = daemon._run_request
 
@@ -536,11 +682,7 @@ class TestFaults:
 
             served = response_b.result(timeout=60)
             assert served["served"] == "coalesced"
-            for field in dataclasses.fields(SimStats):
-                assert (
-                    served["stats"][field.name]
-                    == direct["stats"][field.name]
-                ), field.name
+            _assert_matches_direct(served, direct)
             with ServiceClient.connect(address) as client:
                 again = client.submit(request)
                 assert again["served"] == "cache"
@@ -560,12 +702,8 @@ class TestFaults:
 
     def test_pool_is_rebuilt_after_its_worker_dies(self, tmp_path):
         spec = _spec(name="gaussian")
-        previous = swap_cache(ResultCache(enabled=False))
-        try:
-            direct = protocol.response_payload("baseline", run_flow(spec))
-        finally:
-            swap_cache(previous)
-        daemon, address, thread = self._serve(tmp_path)
+        direct = _direct(spec)
+        daemon, address, thread = _serve(tmp_path)
         try:
             with ServiceClient.connect(address) as client:
                 warm = client.submit(protocol.spec_to_request(_spec()))
@@ -580,11 +718,7 @@ class TestFaults:
                     client.submit(request)
                 served = client.submit(request)
                 assert served["served"] == "executed"
-                for field in dataclasses.fields(SimStats):
-                    assert (
-                        served["stats"][field.name]
-                        == direct["stats"][field.name]
-                    ), field.name
+                _assert_matches_direct(served, direct)
                 stats = client.stats()
                 assert stats["errors"] == 1
                 assert stats["executed"] == 2
@@ -594,6 +728,132 @@ class TestFaults:
             thread.join(timeout=30)
         assert not thread.is_alive()
         assert not daemon.cache.pinned()
+
+    def test_worker_killed_mid_run_fails_a_joined_request_once(
+        self, tmp_path
+    ):
+        # Client A's miss runs on the worker, client B has joined it, and
+        # the worker is killed. The flow runs long enough to kill it
+        # mid-run: about 0.85 s on a 2-vCPU host, against some 60 ms
+        # from the start of the execution to the kill.
+        spec = _spec(name="backprop", scale=1.0, waves=8)
+        timed = time.monotonic()
+        direct = _direct(spec)
+        direct_s = time.monotonic() - timed
+        daemon, address, thread = _serve(tmp_path)
+        started = threading.Event()
+        run_request = daemon._run_request
+
+        async def signalled(request):
+            started.set()
+            return await run_request(request)
+
+        line = protocol.encode_line(protocol.spec_to_request(spec))
+        try:
+            with ServiceClient.connect(address) as client_a, \
+                    ServiceClient.connect(address) as client_b:
+                warm = client_a.submit(protocol.spec_to_request(_spec()))
+                assert warm["served"] == "executed"
+                pool = daemon._executor
+                (worker,) = pool._processes.values()
+                daemon._run_request = signalled
+
+                client_a._file.write(line)
+                client_a._file.flush()
+                assert started.wait(timeout=30)
+                began = time.monotonic()
+                client_b._file.write(line)
+                client_b._file.flush()
+                deadline = time.monotonic() + 30
+                while daemon.metrics.coalesced < 1:
+                    assert time.monotonic() < deadline, "B never joined"
+                    time.sleep(0.001)
+                time.sleep(0.05)  # let the worker take up the call
+                os.kill(worker.pid, signal.SIGKILL)
+                assert time.monotonic() - began < direct_s / 2, (
+                    "the kill must land mid-run"
+                )
+
+                for client in (client_a, client_b):
+                    reply = protocol.decode_line(client._file.readline())
+                    assert reply["ok"] is False
+                    assert reply["error"].startswith("BrokenProcessPool")
+                stats = client_a.stats()
+                assert stats["errors"] == 2
+                assert stats["in_flight"] == 0
+                assert not daemon.cache.pinned()
+
+                # The next miss runs on a fresh pool.
+                served = client_b.submit(protocol.spec_to_request(spec))
+                assert served["served"] == "executed"
+                _assert_matches_direct(served, direct)
+                assert daemon._executor is not pool
+                stats = client_b.stats()
+                assert stats["executed"] == 2
+                assert stats["coalesced"] == 1
+                assert stats["errors"] == 2
+                assert stats["in_flight"] == 0
+                client_b.shutdown()
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not daemon.cache.pinned()
+
+
+class SpawnedDaemon:
+    """A daemon subprocess on a temporary socket + cache directory.
+
+    The daemon starts in its own session, so its process group holds
+    the daemon and every process it forks (its pool worker included).
+    When the daemon fails to start or to shut down cleanly, the whole
+    group is killed and the daemon reaped, so no worker outlives it.
+    """
+
+    def __init__(self, jobs: int = 2, max_bytes: str | None = None):
+        self._tmp = tempfile.TemporaryDirectory(prefix="repro-service-")
+        root = pathlib.Path(self._tmp.name)
+        self.address = str(root / "daemon.sock")
+        command = [
+            sys.executable, "-m", "repro.service.daemon",
+            "--socket", self.address,
+            "--jobs", str(jobs),
+            "--cache-dir", str(root / "cache"),
+        ]
+        if max_bytes is not None:
+            command += ["--max-bytes", max_bytes]
+        self._process = subprocess.Popen(
+            command, env=dict(os.environ), start_new_session=True
+        )
+        try:
+            wait_until_ready(self.address, timeout=60.0)
+        except BaseException:
+            self._kill()
+            self._tmp.cleanup()
+            raise
+
+    def _kill(self) -> None:
+        """SIGKILL the daemon's process group and reap the daemon."""
+        try:
+            os.killpg(self._process.pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):
+            pass  # the group is already gone
+        self._process.wait()
+
+    def stop(self) -> None:
+        try:
+            with ServiceClient.connect(self.address, timeout=5.0) as client:
+                client.shutdown()
+            self._process.wait(timeout=30.0)
+        except Exception:
+            self._kill()
+        finally:
+            self._tmp.cleanup()
+
+    def __enter__(self) -> "SpawnedDaemon":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.stop()
 
 
 def _live_group_members(pgid):
@@ -615,17 +875,18 @@ def _live_group_members(pgid):
     return members
 
 
-class TestLoadgen:
+class TestSpawnedDaemon:
     def test_failed_stop_kills_the_daemon_process_group(self):
         """When the orderly shutdown fails (here: the socket is gone),
         ``SpawnedDaemon.stop`` kills the daemon's whole process group —
         the pool worker that served a miss included — and reaps the
-        daemon."""
-        daemon = loadgen.SpawnedDaemon(jobs=1)
+        daemon. The daemon CLI parses its ``--max-bytes`` cap."""
+        daemon = SpawnedDaemon(jobs=1, max_bytes="64k")
         pgid = daemon._process.pid
         try:
             with ServiceClient.connect(daemon.address) as client:
                 served = client.submit(protocol.spec_to_request(_spec()))
+                assert client.stats()["cache"]["max_bytes"] == 65536
             assert served["served"] == "executed"
             assert len(_live_group_members(pgid)) >= 2, "no pool worker"
             os.unlink(daemon.address)
@@ -636,74 +897,6 @@ class TestLoadgen:
         while _live_group_members(pgid) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert _live_group_members(pgid) == []
-
-    def test_build_mix_is_deterministic_and_exact(self):
-        universe = [("baseline", i) for i in range(32)]
-        flows, counts = loadgen.build_mix(
-            universe, requests=60, unique=20, zipf_s=1.1, seed=7
-        )
-        again = loadgen.build_mix(
-            universe, requests=60, unique=20, zipf_s=1.1, seed=7
-        )
-        assert (flows, counts) == again
-        assert len(flows) == 20
-        assert len(set(map(tuple, flows))) == 20
-        assert sum(counts) == 60
-        assert all(count >= 1 for count in counts)
-
-    def test_build_mix_validates_bounds(self):
-        universe = [("baseline", i) for i in range(4)]
-        with pytest.raises(ValueError):
-            loadgen.build_mix(universe, 10, 5, 1.1, 0)
-        with pytest.raises(ValueError):
-            loadgen.build_mix(universe, 2, 4, 1.1, 0)
-
-    def test_build_waves_packs_flash_crowds(self):
-        counts = [10, 3, 2, 1]
-        waves = loadgen.build_waves(counts, clients=8)
-        dispatched = [0] * len(counts)
-        for wave in waves:
-            assert 0 < len(wave) <= 8
-            for flow in wave:
-                dispatched[flow] += 1
-        assert dispatched == counts
-        # The hottest flow floods the first wave — the flash crowd the
-        # daemon must absorb with one execution.
-        assert waves[0] == [0] * 8
-
-    def test_gate_load(self):
-        record = {
-            "single_flight_dedupe": 3.0, "verified": True,
-            "mismatches": 0, "throughput_speedup": 6.0,
-        }
-        assert loadgen.gate_load(record) == []
-        assert loadgen.gate_load(dict(record, single_flight_dedupe=1.2))
-        assert loadgen.gate_load(dict(record, mismatches=2))
-        assert loadgen.gate_load(dict(record, verified=False))
-        floor = loadgen.GATE_SPEEDUP_FLOOR
-        assert loadgen.gate_load(dict(record, throughput_speedup=floor)) \
-            == []
-        slow = loadgen.gate_load(
-            dict(record, throughput_speedup=floor - 0.1)
-        )
-        assert any("throughput" in error for error in slow)
-
-    def test_diff_fields_pinpoints_mismatches(self):
-        served = {"mode": "baseline", "stats": {"cycles": 2, "x": 1}}
-        direct = {"mode": "baseline", "stats": {"cycles": 2, "x": 1}}
-        assert loadgen._diff_fields(served, direct) == []
-        assert loadgen._diff_fields(
-            dict(served, stats={"cycles": 3, "x": 1}), direct
-        ) == ["stats.cycles"]
-        assert loadgen._diff_fields(
-            dict(served, mode="flags"), direct
-        ) == ["mode"]
-
-    def test_flow_universe_is_wire_encodable(self):
-        specs = loadgen.flow_universe(scale=0.25, waves=1)
-        assert len(specs) == 32
-        for spec in specs[:4]:
-            protocol.encode_line(protocol.spec_to_request(spec))
 
 
 class TestPlannerRequests:
