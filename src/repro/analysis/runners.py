@@ -18,19 +18,16 @@ with content-identical inputs is answered from the cache with a
 bit-identical result. ``REPRO_RESULT_CACHE=0`` restores the direct
 path.
 
-:func:`run_sweep` fans a list of independent flow specifications out
-across worker processes (``jobs``) through :mod:`repro.parallel`,
-returning results in input order — the building block for multi-config
-design-space sweeps. Content-identical specs are deduplicated before
-dispatch: each unique simulation runs once, and the shared result is
-fanned back to every requesting position.
+:func:`run_specs` runs a list of flow specifications, optionally on a
+process pool (``jobs``), returning results in input order; the sweep
+planner (:mod:`repro.experiments.planner`) dedupes the specs before
+calling it.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-from repro.parallel import parallel_map
 
 from repro.arch import GPUConfig
 from repro.baselines.compiler_spill import (
@@ -39,10 +36,12 @@ from repro.baselines.compiler_spill import (
 )
 from repro.baselines.hardware_only import run_hardware_only
 from repro.cache import (
+    cache_env_value,
     cached_compile_kernel,
     cached_simulate,
     flow_spec_key,
     get_cache,
+    init_worker,
 )
 from repro.compiler import CompiledKernel
 from repro.sim.gpu import SimulationResult
@@ -143,7 +142,7 @@ def run_compiler_spill_baseline(
     )
 
 
-#: Flow names accepted by :func:`run_sweep` specs.
+#: Flow names accepted by :func:`run_flow` specs.
 FLOWS = {
     "baseline": run_baseline,
     "virtualized": run_virtualized,
@@ -208,65 +207,33 @@ def spec_fingerprint(spec: tuple) -> str:
     """Content fingerprint of one sweep spec, with flow defaults applied.
 
     Raises :class:`TypeError` if the kwargs contain something the
-    fingerprinter does not understand; :func:`run_sweep` treats that
+    fingerprinter does not understand; the sweep planner treats that
     spec as unique.
     """
     flow, workload, kwargs = normalize_spec(spec)
     return flow_spec_key(flow, workload, kwargs)
 
 
-def run_sweep(
-    specs: list[tuple[str, Workload, dict]],
-    jobs: int = 1,
-) -> list[object]:
-    """Run independent flow specs, optionally across processes.
-
-    Each spec is ``(flow, workload, kwargs)`` with ``flow`` one of
-    :data:`FLOWS`. Results come back in input order regardless of
-    ``jobs``, and ``jobs=1`` produces the identical objects a plain
-    loop over the flow functions would.
-
-    Content-identical specs are deduplicated before dispatch: the
-    unique set runs once (through the pool when ``jobs > 1``) and the
-    shared result object is fanned back to every position that asked
-    for it (see :func:`run_specs` for the fan-out).
-    """
-    work = list(specs)
-    # Map each input position to a unique-spec slot. Unfingerprintable
-    # specs (exotic kwargs) fall back to being their own slot.
-    unique: list[tuple] = []
-    slot_of: list[int] = []
-    seen: dict[str, int] = {}
-    for index, spec in enumerate(work):
-        try:
-            key = spec_fingerprint(spec)
-        except TypeError:
-            key = f"<opaque:{index}>"
-        slot = seen.get(key)
-        if slot is None:
-            slot = len(unique)
-            seen[key] = slot
-            unique.append(spec)
-        slot_of.append(slot)
-
-    results = run_specs(unique, jobs=jobs)
-    return [results[slot] for slot in slot_of]
-
-
 def run_specs(specs: list[tuple], jobs: int = 1) -> list[object]:
     """Run flow specs exactly as given, optionally across processes.
 
-    No deduplication: callers that already hold a unique set (the
-    sweep planner) skip :func:`run_sweep`'s fingerprinting. Results
-    come back in input order. With ``jobs > 1`` each worker exports
-    its fresh cache entries, which are absorbed into this process's
-    cache.
+    No deduplication: the caller (the sweep planner) already holds a
+    unique set. Results come back in input order. With ``jobs > 1`` the
+    specs run on a process pool whose workers share this process's
+    cache (:func:`repro.cache.init_worker`): each worker writes the
+    entries it computes to the disk tier, and this process absorbs
+    their exports into its memory tier, then applies its disk cap once.
     """
-    if jobs > 1 and len(specs) > 1:
-        cache = get_cache()
-        results = []
-        for result, exports in parallel_map(run_flow_exporting, specs, jobs):
-            cache.absorb(exports)
-            results.append(result)
-        return results
-    return [run_flow(spec) for spec in specs]
+    if jobs <= 1 or len(specs) <= 1:
+        return [run_flow(spec) for spec in specs]
+    cache = get_cache()
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(specs)),
+        initializer=init_worker,
+        initargs=(cache_env_value(cache),),
+    ) as pool:
+        outcomes = list(pool.map(run_flow_exporting, specs))
+    for _result, exports in outcomes:
+        cache.absorb(exports)
+    cache.sweep()
+    return [result for result, _exports in outcomes]

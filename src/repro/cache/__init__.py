@@ -54,6 +54,7 @@ __all__ = [
     "fingerprint",
     "flow_spec_key",
     "get_cache",
+    "init_worker",
     "parse_size",
     "reset_cache",
     "simulate_key",
@@ -130,15 +131,25 @@ def reset_cache() -> None:
 
 
 def cache_env_value(cache: ResultCache) -> str:
-    """The ``REPRO_RESULT_CACHE`` value that reproduces ``cache``.
-
-    Worker processes build their own default cache from the
-    environment, so a parent that configured its cache
-    programmatically exports this value before fanning out (see the
-    experiment runner).
-    """
+    """The ``REPRO_RESULT_CACHE`` value that reproduces ``cache``; the
+    argument a process pool passes to :func:`init_worker`."""
     if not cache.enabled:
         return "0"
     if cache.directory is not None:
         return str(cache.directory)
     return "1"
+
+
+def init_worker(cache_env: str) -> None:
+    """Process-pool initializer shared by the sweep planner's pool
+    (:func:`repro.analysis.runners.run_specs`) and the service daemon's.
+
+    Points the worker's default cache at the parent's (``cache_env`` is
+    :func:`cache_env_value` of it) without a size cap: each worker
+    writes what it computes into the shared directory once, the parent
+    absorbs the exports into its memory tier only, and only the parent
+    evicts, so a worker can never evict an entry the parent has pinned.
+    """
+    os.environ["REPRO_RESULT_CACHE"] = cache_env
+    os.environ.pop("REPRO_RESULT_CACHE_MAX_BYTES", None)
+    reset_cache()

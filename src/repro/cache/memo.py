@@ -28,21 +28,17 @@ def cached_simulate(
     config: GPUConfig | None = None,
     mode: str = "baseline",
     threshold: int = 0,
-    sim_sms: int = 1,
     max_ctas_per_sm_sim: int | None = None,
     sample_interval: int = 0,
     trace_warp_slots: tuple[int, ...] = (),
     spill_enabled: bool = True,
     max_cycles: int = 50_000_000,
-    jobs: int = 1,
     cycle_skip: bool | None = None,
     cache: ResultCache | None = None,
 ) -> SimulationResult:
     """:func:`repro.sim.gpu.simulate`, memoized by content.
 
-    ``jobs`` is passed through on a miss but excluded from the key
-    (the parallel path is bit-identical to the serial one). The input
-    kernel is cloned before simulating, so callers need not.
+    The input kernel is cloned before simulating, so callers need not.
     """
     if cache is None:
         from repro.cache import get_cache
@@ -52,7 +48,6 @@ def cached_simulate(
     kwargs = dict(
         mode=mode,
         threshold=threshold,
-        sim_sms=sim_sms,
         max_ctas_per_sm_sim=max_ctas_per_sm_sim,
         sample_interval=sample_interval,
         trace_warp_slots=tuple(trace_warp_slots),
@@ -62,7 +57,7 @@ def cached_simulate(
     if not cache.enabled:
         return simulate(
             kernel.clone(), launch, config,
-            jobs=jobs, cycle_skip=cycle_skip, **kwargs,
+            cycle_skip=cycle_skip, **kwargs,
         )
     key = simulate_key(
         kernel, launch, config, cycle_skip=cycle_skip, **kwargs
@@ -77,7 +72,7 @@ def cached_simulate(
     try:
         result = simulate(
             kernel.clone(), launch, config,
-            jobs=jobs, cycle_skip=cycle_skip, **kwargs,
+            cycle_skip=cycle_skip, **kwargs,
         )
         cache.put(key, result)
     finally:

@@ -237,16 +237,14 @@ class ResultCache:
         exports, self._exports = self._exports, []
         return exports
 
-    def absorb(
-        self, entries: list[tuple[str, bytes]], persist: bool = True
-    ) -> int:
-        """Import exported entries from another process's cache.
+    def absorb(self, entries: list[tuple[str, bytes]]) -> int:
+        """Import a pool worker's exported entries into the memory tier.
 
         Already-present keys are skipped; returns how many were added.
-        ``persist=False`` imports into the memory tier only — the
-        service daemon uses it for worker exports whose disk writes
-        already landed in the shared directory, so absorbing them
-        again would double every disk write.
+        Nothing is written to disk: the worker shares this cache's
+        directory (:func:`repro.cache.init_worker`) and has already
+        written each entry there, so writing it again would double
+        every disk write.
         """
         if not self.enabled:
             return 0
@@ -254,12 +252,9 @@ class ResultCache:
         for key, payload in entries:
             if key in self._memory:
                 continue
-            if persist:
-                self._store(key, payload)
-            else:
-                self._memory[key] = payload
-                self.counters.stores += 1
-                self.counters.bytes_written += len(payload)
+            self._memory[key] = payload
+            self.counters.stores += 1
+            self.counters.bytes_written += len(payload)
             added += 1
         return added
 

@@ -9,23 +9,21 @@ Usage::
 
 ``--quick`` shortens workload loops and simulates a single CTA wave,
 for smoke-testing the harness; published comparisons should use the
-default settings. ``--jobs N`` fans the deduplicated simulation plan
-out across N worker processes (``--jobs 0`` means one per CPU); output
-is printed in request order either way. ``--profile`` wraps the
-(serial) run in :mod:`cProfile`, prints the top 20 functions by
-cumulative time, and saves ``profile.pstats`` for ``pstats``/
-``snakeviz``-style tools.
+default settings. ``--profile`` wraps the (serial) run in
+:mod:`cProfile`, prints the top 20 functions by cumulative time, and
+saves ``profile.pstats`` for ``pstats``/``snakeviz``-style tools.
 
 Results are memoized in a content-addressed cache (on disk at
 ``.repro-cache/`` by default; see :mod:`repro.cache`): a rerun with
 unchanged inputs replays from the cache. ``--cache-dir DIR`` relocates
-it, ``--no-cache`` disables it (also restoring the legacy
-one-process-per-experiment ``--jobs`` behavior), and the
-``REPRO_RESULT_CACHE`` environment variable does both without CLI
-flags. When the cache is enabled, experiments first *declare* their
-simulation flows to the sweep planner, which runs each unique
-simulation exactly once per invocation regardless of how many figures
-share it.
+it, ``--no-cache`` disables it, and the ``REPRO_RESULT_CACHE``
+environment variable does both without CLI flags. When the cache is
+enabled, experiments first *declare* their simulation flows to the
+sweep planner, which runs each unique simulation exactly once per
+invocation regardless of how many figures share it. ``--jobs N`` runs
+that plan on N worker processes (``--jobs 0`` means one per CPU), so
+it needs the cache; the experiments then replay in request order from
+the warm cache.
 """
 
 from __future__ import annotations
@@ -37,23 +35,10 @@ import re
 import sys
 import time
 
-from repro.cache import (
-    cache_env_value,
-    configure_cache,
-    get_cache,
-    parse_size,
-    reset_cache,
-)
+from repro.cache import configure_cache, get_cache, parse_size, reset_cache
 from repro.errors import ConfigError
 from repro.experiments.planner import collect_plan, execute_plan
 from repro.experiments.registry import EXPERIMENTS, get_experiment
-from repro.parallel import (
-    ExperimentJob,
-    ExperimentOutcome,
-    parallel_map,
-    resolve_jobs,
-    run_experiment_job,
-)
 
 #: Default on-disk cache location when neither ``--cache-dir`` nor
 #: ``REPRO_RESULT_CACHE`` says otherwise.
@@ -75,6 +60,15 @@ def _export_csv(result, directory: pathlib.Path) -> list[pathlib.Path]:
         path.write_text(table.to_csv())
         written.append(path)
     return written
+
+
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a ``--jobs`` value: ``0``/``None`` means one per CPU."""
+    if not jobs:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return jobs
 
 
 def _configure_cache_from_args(args):
@@ -119,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--waves", type=int, default=None,
-        help="CTA waves simulated per SM",
+        help="CTA waves simulated per SM (at least 1)",
     )
     parser.add_argument(
         "--csv", metavar="DIR", default=None,
@@ -132,7 +126,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for the deduplicated simulation plan "
-             "(0 = one per CPU; default 1, fully serial)",
+             "(0 = one per CPU; default 1, fully serial; more than one "
+             "needs the result cache)",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -158,8 +153,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the result cache; every simulation reruns, and "
-             "--jobs falls back to one worker per experiment",
+        help="disable the result cache; every simulation reruns "
+             "serially",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -169,6 +164,8 @@ def main(argv: list[str] | None = None) -> int:
              "profiler)",
     )
     args = parser.parse_args(argv)
+    if args.waves is not None and args.waves < 1:
+        parser.error(f"--waves must be >= 1, got {args.waves}")
 
     names = args.experiments or list(EXPERIMENTS)
     options: dict[str, object] = {}
@@ -208,107 +205,79 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--submit needs the result cache (drop --no-cache)")
     if args.submit is not None and args.profile:
         parser.error("--submit and --profile are mutually exclusive")
+    if jobs > 1 and not cache.enabled:
+        parser.error("--jobs runs the simulation plan, which needs the "
+                     "result cache (drop --no-cache)")
 
-    def report(outcome: ExperimentOutcome) -> None:
-        result = outcome.result
-        print(result.render())
-        if args.chart:
-            from repro.analysis.charts import chart_for
+    def run_serial() -> None:
+        for name in names:
+            experiment_started = time.time()
+            result = get_experiment(name)(**options)
+            print(result.render())
+            if args.chart:
+                from repro.analysis.charts import chart_for
 
-            chart = chart_for(result.experiment, result.table)
-            if chart:
-                print()
-                print(chart)
-        if args.csv:
-            for path in _export_csv(result, pathlib.Path(args.csv)):
-                print(f"csv: {path}")
-        print(f"({outcome.elapsed:.1f}s)")
-        print()
+                chart = chart_for(result.experiment, result.table)
+                if chart:
+                    print()
+                    print(chart)
+            if args.csv:
+                for path in _export_csv(result, pathlib.Path(args.csv)):
+                    print(f"csv: {path}")
+            print(f"({time.time() - experiment_started:.1f}s)")
+            print()
 
-    def run_serial(specs: list[ExperimentJob]) -> None:
-        for spec in specs:
-            report(run_experiment_job(spec))
-
-    # Worker processes rebuild their default cache from the
-    # environment, so export this invocation's cache configuration
-    # around any pool fan-out.
-    saved_env = os.environ.get("REPRO_RESULT_CACHE")
-    os.environ["REPRO_RESULT_CACHE"] = cache_env_value(cache)
     started = time.time()
-    pool_note = ""
-    try:
-        specs = [ExperimentJob(name, options) for name in names]
-        if args.profile:
-            import cProfile
-            import pstats
+    if args.profile:
+        import cProfile
+        import pstats
 
-            profiler = cProfile.Profile()
-            profiler.enable()
-            run_serial(specs)
-            profiler.disable()
-            out = pathlib.Path("profile.pstats")
-            profiler.dump_stats(out)
-            stats = pstats.Stats(profiler, stream=sys.stdout)
-            stats.sort_stats("cumulative").print_stats(20)
-            print(f"profile: {out}")
-        else:
-            plan = collect_plan(names, options) if cache.enabled else None
-            if args.submit is not None and plan is not None and plan.unique:
-                # Remote path: a running daemon executes the unique
-                # set (coalescing with whatever else it is serving);
-                # the replay is warm when daemon and runner share a
-                # disk cache directory, and recomputes locally
-                # otherwise.
-                from repro.service.client import (
-                    format_address,
-                    submit_requests,
-                )
+        profiler = cProfile.Profile()
+        profiler.enable()
+        run_serial()
+        profiler.disable()
+        out = pathlib.Path("profile.pstats")
+        profiler.dump_stats(out)
+        stats = pstats.Stats(profiler, stream=sys.stdout)
+        stats.sort_stats("cumulative").print_stats(20)
+        print(f"profile: {out}")
+    else:
+        plan = collect_plan(names, options) if cache.enabled else None
+        if args.submit is not None and plan is not None and plan.unique:
+            # Remote path: a running daemon executes the unique set
+            # (coalescing with whatever else it is serving); the replay
+            # is warm when daemon and runner share a disk cache
+            # directory, and recomputes locally otherwise.
+            from repro.service.client import format_address, submit_requests
 
-                print(plan.describe())
-                submit_started = time.time()
-                responses = submit_requests(args.submit, plan.requests())
-                served: dict[str, int] = {}
-                for response in responses:
-                    kind = str(response.get("served", "?"))
-                    served[kind] = served.get(kind, 0) + 1
-                summary = ", ".join(
-                    f"{count} {kind}"
-                    for kind, count in sorted(served.items())
-                )
-                print(
-                    f"plan served by {format_address(args.submit)} in "
-                    f"{time.time() - submit_started:.1f}s ({summary})"
-                )
-                print()
-                run_serial(specs)
-            elif plan is not None and plan.unique:
-                # Planned path: dedupe the union of declared flows,
-                # run each unique simulation exactly once (through
-                # the pool when --jobs asks), then replay the
-                # experiments against the warm cache.
-                print(plan.describe())
-                execute_plan(plan, jobs=jobs)
-                print(f"plan executed in {plan.elapsed:.1f}s "
-                      f"({jobs} worker process"
-                      f"{'es' if jobs != 1 else ''})")
-                print()
-                run_serial(specs)
-            elif jobs > 1 and len(specs) > 1:
-                # No cache or nothing planned (analytic experiments):
-                # one worker per experiment, as before the planner.
-                pool_note = f" ({jobs} worker processes)"
-                for outcome in parallel_map(
-                    run_experiment_job, specs, jobs
-                ):
-                    report(outcome)
-            else:
-                run_serial(specs)
-    finally:
-        if saved_env is None:
-            os.environ.pop("REPRO_RESULT_CACHE", None)
-        else:
-            os.environ["REPRO_RESULT_CACHE"] = saved_env
-    print(f"total: {time.time() - started:.1f}s{pool_note}")
+            print(plan.describe())
+            submit_started = time.time()
+            responses = submit_requests(args.submit, plan.requests())
+            served: dict[str, int] = {}
+            for response in responses:
+                kind = str(response.get("served", "?"))
+                served[kind] = served.get(kind, 0) + 1
+            summary = ", ".join(
+                f"{count} {kind}" for kind, count in sorted(served.items())
+            )
+            print(
+                f"plan served by {format_address(args.submit)} in "
+                f"{time.time() - submit_started:.1f}s ({summary})"
+            )
+            print()
+        elif plan is not None and plan.unique:
+            # Planned path: dedupe the union of declared flows, run
+            # each unique simulation exactly once (on the pool when
+            # --jobs asks), then replay the experiments against the
+            # warm cache.
+            print(plan.describe())
+            execute_plan(plan, jobs=jobs)
+            print(f"plan executed in {plan.elapsed:.1f}s "
+                  f"({jobs} worker process"
+                  f"{'es' if jobs != 1 else ''})")
+            print()
+        run_serial()
+    print(f"total: {time.time() - started:.1f}s")
     print(cache.describe())
     return 0
 

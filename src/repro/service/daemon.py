@@ -19,11 +19,11 @@ Request lifecycle (``op: simulate``)::
 The pin (step 3) is what guarantees the LRU evictor never removes an
 in-flight entry: from first lookup to response delivery the key is
 exempt from the disk-size cap. Worker processes share the daemon's
-disk cache directory via ``REPRO_RESULT_CACHE``, so simulate- and
-compile-level entries persist for other flows (and for ``runner
---submit`` replays); only the parent enforces the size cap
-(``REPRO_RESULT_CACHE_MAX_BYTES`` is cleared in workers) so pinned
-keys cannot be evicted from another process.
+disk cache directory (:func:`repro.cache.init_worker`, the sweep
+planner's pool initializer too), so simulate- and compile-level
+entries persist for other flows (and for ``runner --submit``
+replays); only the parent enforces the size cap, so pinned keys
+cannot be evicted from another process.
 
 Run one with ``python -m repro.service.daemon --socket PATH`` (or
 ``--port N`` for local TCP), or ``python -m repro.experiments.runner
@@ -43,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.cache import ResultCache, cache_env_value, get_cache
+from repro.cache import ResultCache, cache_env_value, get_cache, init_worker
 from repro.cache.store import MISS, parse_size
 from repro.service import protocol
 from repro.service.client import DEFAULT_SOCKET, format_address, parse_address
@@ -92,17 +92,6 @@ class ServiceMetrics:
         }
 
 
-def _init_worker(cache_env: str) -> None:
-    """Pool initializer: point the worker's default cache at the shared
-    directory and disable its size cap (eviction is the parent's job —
-    a worker evicting would race the parent's in-flight pins)."""
-    os.environ["REPRO_RESULT_CACHE"] = cache_env
-    os.environ.pop("REPRO_RESULT_CACHE_MAX_BYTES", None)
-    from repro.cache import reset_cache
-
-    reset_cache()
-
-
 def _execute_request(request: dict) -> tuple[dict, list]:
     """Pool worker entry: run one simulate request, return the response
     payload plus the worker cache's fresh exports."""
@@ -129,16 +118,13 @@ class SimulationDaemon:
         self._inflight: dict[str, asyncio.Future] = {}
         self._executor: ProcessPoolExecutor | None = None
         self._stopping = asyncio.Event()
-        #: Worker disk writes land in the shared directory directly, so
-        #: exports are absorbed into the memory tier only.
-        self._workers_share_disk = self.cache.directory is not None
 
     # ------------------------------------------------------------ execution
     def _pool(self) -> ProcessPoolExecutor:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                initializer=_init_worker,
+                initializer=init_worker,
                 initargs=(cache_env_value(self.cache),),
             )
         return self._executor
@@ -162,7 +148,7 @@ class SimulationDaemon:
                 self._executor = None
                 pool.shutdown(wait=False, cancel_futures=True)
             raise
-        self.cache.absorb(exports, persist=not self._workers_share_disk)
+        self.cache.absorb(exports)
         return payload
 
     async def _simulate(self, request: dict) -> dict:

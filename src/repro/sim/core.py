@@ -34,7 +34,7 @@ from repro.errors import DeadlockError, RenamingError, SimulationError
 from repro.isa.kernel import Kernel
 from repro.isa.opcodes import MemSpace, Opcode, Unit
 from repro.launch import LaunchConfig
-from repro.sim.decode import DecodeCache, DecodedInst, build_decode_cache
+from repro.sim.decode import DecodedInst, build_decode_cache
 from repro.sim.execute import (
     ADDR_MASK,
     EXEC_ALU,
@@ -112,8 +112,6 @@ class SMCore:
         sample_interval: int = 0,
         trace_warp_slots: tuple[int, ...] = (),
         spill_enabled: bool = True,
-        sm_id: int = 0,
-        decode_cache: DecodeCache | None = None,
         cycle_skip: bool | None = None,
     ):
         if mode not in _MODES:
@@ -129,7 +127,6 @@ class SMCore:
         self.instructions = kernel.instructions
         self.launch = launch
         self.mode = mode
-        self.sm_id = sm_id
         self.stats = SimStats()
         self.gmem = gmem if gmem is not None else GlobalMemory()
         self.regfile = PhysicalRegisterFile(config, self.stats)
@@ -230,24 +227,16 @@ class SMCore:
         self._throttled_cta: int | None = None
 
         # Per-kernel decode cache (see repro.sim.decode): flat
-        # precomputed views of each static instruction, shareable across
-        # the cores of one GPU. ``REPRO_DECODE_CACHE=0`` falls back to
-        # the uncached issue path (kept verbatim as
-        # ``_try_issue_uncached``) for equivalence testing.
-        self._decode_cache: DecodeCache | None = None
+        # precomputed views of each static instruction.
+        # ``REPRO_DECODE_CACHE=0`` falls back to the uncached issue path
+        # (kept verbatim as ``_try_issue_uncached``) for equivalence
+        # testing.
         self._decode: list[DecodedInst] | None = None
         env = os.environ.get("REPRO_DECODE_CACHE", "1").strip().lower()
         if env not in ("0", "off", "false"):
-            eff_threshold = threshold if mode == "flags" else 0
-            if decode_cache is not None and decode_cache.matches(
-                kernel, config.num_banks, eff_threshold, mode
-            ):
-                self._decode_cache = decode_cache
-            else:
-                self._decode_cache = build_decode_cache(
-                    kernel, config, eff_threshold, mode
-                )
-            self._decode = self._decode_cache.entries
+            self._decode = build_decode_cache(
+                kernel, config, threshold if mode == "flags" else 0, mode
+            )
 
         # Issue and tick selection (see docs/INTERNALS.md, "Fast-path
         # binding"). The decode-cached frame is the class's own
@@ -1545,7 +1534,7 @@ class SMCore:
                 return
         if not self.done():
             raise DeadlockError(
-                f"SM {self.sm_id} deadlocked at cycle {self.cycle}: "
+                f"SM deadlocked at cycle {self.cycle}: "
                 f"{len(self.resident)} CTAs resident, "
                 f"{len(self.cta_queue)} queued, free registers="
                 f"{self.regfile.free_count}"

@@ -12,14 +12,12 @@ itself.
 :func:`build_decode_cache` snapshots the kernel into a flat list of
 :class:`DecodedInst` records indexed by PC. The cache is pure derived
 data: it never changes simulated behaviour, only how fast
-``SMCore._try_issue`` gets at the same facts. One cache is shared by
-every core running the same kernel under the same
-``(num_banks, threshold, mode)`` key (see :class:`repro.sim.gpu.GPU`);
-process-pool workers rebuild it from the pickled kernel, which costs
-one decode pass per worker instead of one per dynamic instruction.
-Because the key includes the register mode, the records also carry
-mode facts the issue frame would otherwise test per instruction:
-outside flags mode no record has a release list.
+``SMCore._try_issue`` gets at the same facts. Each core builds its own
+for its ``(num_banks, threshold, mode)``, one decode pass per
+simulation instead of one per dynamic instruction. Because it is built
+for one register mode, the records also carry mode facts the issue
+frame would otherwise test per instruction: outside flags mode no
+record has a release list.
 
 Because the cache snapshots compiler-filled fields (``target_pc``,
 ``reconv_pc``, ``release_srcs``), it must be built *after*
@@ -187,46 +185,15 @@ class DecodedInst:
         self.bind_max_pred = max(preds) if preds else -1
 
 
-class DecodeCache:
-    """One kernel's decoded instructions plus the key they match."""
-
-    __slots__ = ("entries", "num_banks", "threshold", "mode")
-
-    def __init__(self, entries: list[DecodedInst], num_banks: int,
-                 threshold: int, mode: str):
-        self.entries = entries
-        self.num_banks = num_banks
-        self.threshold = threshold
-        self.mode = mode
-
-    def matches(self, kernel: Kernel, num_banks: int, threshold: int,
-                mode: str) -> bool:
-        """Can this cache drive ``kernel`` under the given core setup?"""
-        return (
-            self.num_banks == num_banks
-            and self.threshold == threshold
-            and self.mode == mode
-            and len(self.entries) == len(kernel.instructions)
-            and all(
-                entry.inst is inst
-                for entry, inst in zip(self.entries, kernel.instructions)
-            )
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def build_decode_cache(kernel: Kernel, config: GPUConfig, threshold: int,
-                       mode: str) -> DecodeCache:
-    """Decode ``kernel`` once for cores running it under ``mode``.
+                       mode: str) -> list[DecodedInst]:
+    """Decode ``kernel`` once for a core running it under ``mode``.
 
     ``threshold`` is the *effective* renaming-exemption threshold the
     core will use (0 outside ``flags`` mode). The kernel must already be
     finalized (PCs assigned, reconvergence points resolved).
     """
-    entries = [
+    return [
         DecodedInst(inst, config.num_banks, threshold, mode)
         for inst in kernel.instructions
     ]
-    return DecodeCache(entries, config.num_banks, threshold, mode)

@@ -1,20 +1,15 @@
 """Whole-GPU simulation driver.
 
 The paper simulates 16 SMs; every SM runs the same kernel on its share
-of the grid, so per-SM behaviour is statistically identical. For speed
-the driver simulates ``sim_sms`` SMs (default one) and gives each the
-CTAs a 16-SM GPU would assign it round-robin (ctaid = sm, sm+16, ...).
-``max_ctas_per_sm_sim`` optionally caps the simulated waves per SM —
-experiments use a few waves of CTAs, which is enough for steady-state
-behaviour while keeping pure-Python simulation fast.
+of the grid, so per-SM behaviour is statistically identical. The
+driver therefore simulates one representative SM, SM 0, and gives it
+the CTAs a 16-SM GPU would assign it round-robin (ctaid = 0, 16,
+32, ...). ``max_ctas_per_sm_sim`` optionally caps the simulated CTAs
+per SM; experiments simulate a few waves of CTAs, which is enough for
+steady-state behaviour while keeping pure-Python simulation fast.
 
-Each core owns a *private* :class:`GlobalMemory` seeded from the
-driver's memory at run time; per-core stores merge back into
-``GPU.gmem`` in ascending SM order when the run completes. That
-isolation is what lets ``GPU.run(jobs=N)`` fan the cores out across a
-process pool (:mod:`repro.parallel`) while staying bit-identical to
-the serial path — both reduce through
-:func:`repro.parallel.merge.merge_core_results`.
+The core reads and writes :attr:`GPU.gmem` directly, so after
+:meth:`GPU.run` it holds every store the kernel made.
 
 :func:`simulate` is the main entry point used by examples, tests and
 the benchmark harness.
@@ -29,10 +24,6 @@ from repro.arch import GPUConfig
 from repro.errors import SimulationError
 from repro.isa.kernel import Kernel
 from repro.launch import LaunchConfig
-from repro.parallel.jobs import CoreJob, CoreResult
-from repro.parallel.merge import merge_core_results
-from repro.parallel.pool import parallel_map
-from repro.parallel.worker import run_core_job
 from repro.sim.core import SMCore
 from repro.sim.memory import GlobalMemory
 from repro.sim.stats import SimStats
@@ -58,7 +49,7 @@ class SimulationResult:
 
 
 class GPU:
-    """A GPU executing one kernel launch."""
+    """A GPU executing one kernel launch, modelled by its SM 0."""
 
     def __init__(
         self,
@@ -67,114 +58,42 @@ class GPU:
         launch: LaunchConfig,
         mode: str = "baseline",
         threshold: int = 0,
-        sim_sms: int = 1,
         max_ctas_per_sm_sim: int | None = None,
         sample_interval: int = 0,
         trace_warp_slots: tuple[int, ...] = (),
         spill_enabled: bool = True,
         cycle_skip: bool | None = None,
     ):
-        if sim_sms < 1 or sim_sms > config.num_sms:
-            raise SimulationError("sim_sms must be in [1, num_sms]")
+        if max_ctas_per_sm_sim is not None and max_ctas_per_sm_sim < 1:
+            raise SimulationError("max_ctas_per_sm_sim must be >= 1")
         self.config = config
-        self.kernel = kernel
         self.launch = launch
         self.mode = mode
-        self.threshold = threshold
-        self.spill_enabled = spill_enabled
-        self.cycle_skip = cycle_skip
         self.gmem = GlobalMemory()
-        self.cores: list[SMCore] = []
-        #: Per-core (sample_interval, trace_warp_slots) used to rebuild
-        #: the core as a picklable job spec for the process pool.
-        self._core_opts: list[tuple[int, tuple[int, ...]]] = []
-        self.ctas_simulated = 0
+        self.core = SMCore(
+            config,
+            kernel,
+            launch,
+            mode=mode,
+            threshold=threshold,
+            gmem=self.gmem,
+            sample_interval=sample_interval,
+            trace_warp_slots=trace_warp_slots,
+            spill_enabled=spill_enabled,
+            cycle_skip=cycle_skip,
+        )
         per_sm = math.ceil(launch.grid_ctas / config.num_sms)
         if max_ctas_per_sm_sim is not None:
             per_sm = min(per_sm, max_ctas_per_sm_sim)
-        # The decode cache is pure derived data keyed on
-        # (kernel, num_banks, threshold, mode): the first core builds
-        # it and the remaining cores share the same object, so a
-        # multi-SM GPU decodes the kernel exactly once.
-        decode_cache = None
-        for sm in range(sim_sms):
-            opts = (
-                sample_interval if sm == 0 else 0,
-                trace_warp_slots if sm == 0 else (),
-            )
-            core = SMCore(
-                config,
-                kernel,
-                launch,
-                mode=mode,
-                threshold=threshold,
-                gmem=GlobalMemory(),
-                sample_interval=opts[0],
-                trace_warp_slots=opts[1],
-                spill_enabled=spill_enabled,
-                sm_id=sm,
-                decode_cache=decode_cache,
-                cycle_skip=cycle_skip,
-            )
-            if decode_cache is None:
-                decode_cache = core._decode_cache
-            ctaids = [
-                sm + wave * config.num_sms
-                for wave in range(per_sm)
-                if sm + wave * config.num_sms < launch.grid_ctas
-            ]
-            core.cta_queue = ctaids
-            self.ctas_simulated += len(ctaids)
-            self.cores.append(core)
-            self._core_opts.append(opts)
+        self.core.cta_queue = list(
+            range(0, per_sm * config.num_sms, config.num_sms)
+        )
+        self.ctas_simulated = per_sm
 
-    def _core_jobs(self, max_cycles: int,
-                   gmem_image: dict[int, int]) -> list[CoreJob]:
-        """Picklable job specs mirroring the constructed cores."""
-        return [
-            CoreJob(
-                sm_id=core.sm_id,
-                config=self.config,
-                kernel=self.kernel,
-                launch=self.launch,
-                mode=self.mode,
-                threshold=self.threshold,
-                ctaids=tuple(core.cta_queue),
-                sample_interval=opts[0],
-                trace_warp_slots=opts[1],
-                spill_enabled=self.spill_enabled,
-                max_cycles=max_cycles,
-                gmem_image=gmem_image,
-                cycle_skip=self.cycle_skip,
-            )
-            for core, opts in zip(self.cores, self._core_opts)
-        ]
-
-    def run(self, max_cycles: int = 50_000_000,
-            jobs: int = 1) -> SimulationResult:
-        """Simulate every core; ``jobs > 1`` uses a process pool.
-
-        The parallel path is bit-identical to the serial one: each
-        core (in either path) starts from the same global-memory
-        snapshot and results reduce in ascending SM order.
-        """
-        base_image = self.gmem.image()
-        if jobs > 1 and len(self.cores) > 1:
-            results = parallel_map(
-                run_core_job, self._core_jobs(max_cycles, base_image), jobs
-            )
-        else:
-            results = []
-            for core in self.cores:
-                core.gmem.restore(base_image)
-                stats = core.run(max_cycles=max_cycles)
-                results.append(
-                    CoreResult(core.sm_id, stats, core.gmem.image())
-                )
-        merged, store = merge_core_results(results)
-        self.gmem.restore(store)
+    def run(self, max_cycles: int = 50_000_000) -> SimulationResult:
+        """Simulate the SM's CTAs to completion."""
         return SimulationResult(
-            stats=merged,
+            stats=self.core.run(max_cycles=max_cycles),
             config=self.config,
             launch=self.launch,
             mode=self.mode,
@@ -188,13 +107,11 @@ def simulate(
     config: GPUConfig | None = None,
     mode: str = "baseline",
     threshold: int = 0,
-    sim_sms: int = 1,
     max_ctas_per_sm_sim: int | None = None,
     sample_interval: int = 0,
     trace_warp_slots: tuple[int, ...] = (),
     spill_enabled: bool = True,
     max_cycles: int = 50_000_000,
-    jobs: int = 1,
     cycle_skip: bool | None = None,
 ) -> SimulationResult:
     """Simulate one kernel launch and return its statistics.
@@ -203,8 +120,7 @@ def simulate(
     pin-per-CTA), ``flags`` (the paper's virtualization; the kernel
     should be compiled with release metadata and ``threshold`` set to
     the compile-time exemption count), or ``redefine`` (hardware-only
-    renaming [46]). ``jobs`` fans the simulated SMs out across a
-    process pool (``jobs=1`` is fully serial; results are identical).
+    renaming [46]).
     """
     gpu = GPU(
         config or GPUConfig.baseline(),
@@ -212,11 +128,10 @@ def simulate(
         launch,
         mode=mode,
         threshold=threshold,
-        sim_sms=sim_sms,
         max_ctas_per_sm_sim=max_ctas_per_sm_sim,
         sample_interval=sample_interval,
         trace_warp_slots=trace_warp_slots,
         spill_enabled=spill_enabled,
         cycle_skip=cycle_skip,
     )
-    return gpu.run(max_cycles=max_cycles, jobs=jobs)
+    return gpu.run(max_cycles=max_cycles)

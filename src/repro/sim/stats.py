@@ -138,43 +138,3 @@ class SimStats:
         if not self.cycles:
             return 0.0
         return self.instructions / self.cycles
-
-    def merge(self, other: "SimStats") -> None:
-        """Accumulate another SM's counters into this one (multi-SM runs)."""
-        self.cycles = max(self.cycles, other.cycles)
-        for name in (
-            "instructions", "pir_decoded", "pir_skipped", "pbr_decoded",
-            "branches", "divergent_branches", "memory_instructions",
-            "barriers", "issue_slots", "issued", "stall_scoreboard",
-            "stall_no_ready_warp", "stall_no_free_register",
-            "stall_throttled", "stall_bank_conflict_cycles",
-            "renaming_conflict_cycles",
-            "stall_wakeup_cycles", "rf_reads", "rf_writes",
-            "registers_allocated_events", "registers_released_events",
-            "wasted_releases", "bank_fallbacks", "renaming_reads",
-            "renaming_writes", "flag_cache_hits", "flag_cache_misses",
-            "rfc_reads", "rfc_writes", "rfc_writebacks", "rfc_flushes",
-            "subarray_wakeups", "throttle_activations", "throttle_cycles",
-            "spill_events",
-            "fill_events", "spilled_registers", "ctas_completed",
-            "warps_completed", "architected_registers_demand",
-            "ticks_executed", "skipped_cycles",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.max_live_registers = max(
-            self.max_live_registers, other.max_live_registers
-        )
-        self.max_architected_allocated = max(
-            self.max_architected_allocated, other.max_architected_allocated
-        )
-        self.physical_registers_touched = max(
-            self.physical_registers_touched, other.physical_registers_touched
-        )
-        self.subarray_active_cycles += other.subarray_active_cycles
-        self.total_subarrays += other.total_subarrays
-        if len(self.rf_bank_accesses) < len(other.rf_bank_accesses):
-            self.rf_bank_accesses.extend(
-                [0] * (len(other.rf_bank_accesses) - len(self.rf_bank_accesses))
-            )
-        for index, count in enumerate(other.rf_bank_accesses):
-            self.rf_bank_accesses[index] += count

@@ -30,7 +30,7 @@ from repro.sim.decode import (
     RENAMING_TABLE_BANKS,
     build_decode_cache,
 )
-from repro.sim.gpu import GPU, simulate
+from repro.sim.gpu import GPU
 from repro.workloads.suite import get_workload
 
 WORKLOADS = ("matrixmul", "blackscholes", "reduction")
@@ -45,26 +45,6 @@ def _comparable(result) -> dict:
         for name, value in dataclasses.asdict(result.stats).items()
         if name not in DIAGNOSTICS
     }
-
-
-def _simulate(workload, mode, **kwargs):
-    """One wave of ``workload`` under ``mode`` (compiling for flags)."""
-    opts = dict(max_ctas_per_sm_sim=workload.table1.conc_ctas_per_sm)
-    opts.update(kwargs)
-    if mode == "flags":
-        config = GPUConfig.renamed()
-        compiled = compile_kernel(workload.kernel, workload.launch, config)
-        return simulate(
-            compiled.kernel, workload.launch, config, mode="flags",
-            threshold=compiled.renaming_threshold, **opts,
-        )
-    config = (
-        GPUConfig.baseline() if mode == "baseline" else GPUConfig.renamed()
-    )
-    return simulate(
-        workload.kernel.clone(), workload.launch, config, mode=mode,
-        **opts,
-    )
 
 
 def _run_case(workload, mode, config=None, compiled=False, **opts):
@@ -163,34 +143,8 @@ class TestEquivalence:
         assert cached[0] == seed[0]
         assert cached[1] == seed[1]
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_parallel_matches_serial(self, mode):
-        """The process-pool engine (which rebuilds the cache per
-        worker) stays bit-identical to the serial cached path."""
-        workload = get_workload("matrixmul", **QUICK)
-        serial = _simulate(workload, mode, sim_sms=2,
-                           max_ctas_per_sm_sim=2)
-        parallel = _simulate(workload, mode, sim_sms=2,
-                             max_ctas_per_sm_sim=2, jobs=2)
-        assert dataclasses.asdict(serial.stats) == dataclasses.asdict(
-            parallel.stats
-        )
-
 
 class TestSharing:
-    def test_cache_shared_across_cores(self, monkeypatch):
-        # Pin the cache on: the tier-1 suite also runs with
-        # REPRO_DECODE_CACHE=0, where there is no cache to share.
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
-        workload = get_workload("matrixmul", **QUICK)
-        gpu = GPU(
-            GPUConfig.renamed(), workload.kernel.clone(), workload.launch,
-            mode="redefine", sim_sms=2, max_ctas_per_sm_sim=1,
-        )
-        first, second = gpu.cores
-        assert first._decode_cache is not None
-        assert first._decode_cache is second._decode_cache
-
     def test_env_flag_disables_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
         workload = get_workload("matrixmul", **QUICK)
@@ -198,22 +152,7 @@ class TestSharing:
             GPUConfig.renamed(), workload.kernel.clone(), workload.launch,
             mode="redefine", max_ctas_per_sm_sim=1,
         )
-        core = gpu.cores[0]
-        assert core._decode_cache is None
-        assert core._decode is None
-
-    def test_cache_rejects_mismatched_key(self):
-        workload = get_workload("matrixmul", **QUICK)
-        config = GPUConfig.renamed()
-        compiled = compile_kernel(workload.kernel, workload.launch, config)
-        cache = build_decode_cache(compiled.kernel, config, 4, "flags")
-        assert cache.matches(compiled.kernel, config.num_banks, 4, "flags")
-        assert not cache.matches(compiled.kernel, config.num_banks, 4,
-                                 "redefine")
-        assert not cache.matches(compiled.kernel, config.num_banks, 2,
-                                 "flags")
-        assert not cache.matches(workload.kernel, config.num_banks, 4,
-                                 "flags")
+        assert gpu.core._decode is None
 
 
 class TestDecodedInst:
@@ -231,7 +170,7 @@ class TestDecodedInst:
 
     def test_dedup_preserves_first_occurrence_order(self, decoded):
         kernel, cache, _, _ = decoded
-        for entry in cache.entries:
+        for entry in cache:
             seen = []
             for reg in entry.inst.srcs:
                 if reg not in seen:
@@ -240,7 +179,7 @@ class TestDecodedInst:
 
     def test_release_list_collapses_unset_flags_to_none(self, decoded):
         kernel, cache, _, _ = decoded
-        for entry in cache.entries:
+        for entry in cache:
             expected = tuple(
                 reg for reg, flag in zip(
                     entry.inst.srcs, entry.inst.release_srcs
@@ -250,7 +189,7 @@ class TestDecodedInst:
 
     def test_threshold_partition_covers_dedup_srcs(self, decoded):
         kernel, cache, threshold, _ = decoded
-        for entry in cache.entries:
+        for entry in cache:
             assert sorted(entry.below_srcs + entry.above_srcs) == sorted(
                 entry.dedup_srcs
             )
@@ -259,7 +198,7 @@ class TestDecodedInst:
 
     def test_lookup_conflict_matches_four_banked_table(self, decoded):
         kernel, cache, threshold, _ = decoded
-        for entry in cache.entries:
+        for entry in cache:
             lookups = {r for r in entry.inst.srcs if r >= threshold}
             if entry.inst.dst is not None and entry.inst.dst >= threshold:
                 lookups.add(entry.inst.dst)
@@ -273,7 +212,7 @@ class TestDecodedInst:
     def test_bank_tables_match_bank_of_for_every_slot(self, decoded):
         kernel, cache, _, config = decoded
         n = config.num_banks
-        for entry in cache.entries:
+        for entry in cache:
             for slot in range(2 * n):  # beyond one period: wraps
                 banks = entry.src_banks_by_slotmod[slot % n]
                 assert banks == tuple(
@@ -300,7 +239,7 @@ class TestDecodedInst:
         )
 
         kinds = set()
-        for entry in cache.entries:
+        for entry in cache:
             info = opcode_info(entry.opcode)
             kinds.add(entry.exec_kind)
             if entry.opcode is Opcode.SETP:

@@ -1,9 +1,11 @@
-"""Sweep planner and deduplicating run_sweep tests.
+"""Sweep planner tests.
 
 Pin the tentpole invariant: across a runner invocation, every unique
-simulation executes exactly once — duplicated specs fan the shared
-result back, experiments replay from the cache the planner warmed, and
-a second invocation against the same cache directory is pure hits.
+simulation executes exactly once — duplicated specs dedupe to one run
+whose result every duplicate replays from the cache, experiments
+replay from the cache the planner warmed, a pool run writes each entry
+to disk once, and a second invocation against the same cache directory
+is pure hits.
 """
 
 from __future__ import annotations
@@ -11,13 +13,36 @@ from __future__ import annotations
 import pytest
 
 import repro.analysis.runners as runners
-from repro.analysis.runners import run_sweep, spec_fingerprint
+import repro.experiments.planner as planner
+from repro.analysis.runners import (
+    run_baseline,
+    run_flow,
+    run_specs,
+    run_virtualized,
+    spec_fingerprint,
+)
 from repro.arch import GPUConfig
 from repro.cache import ResultCache, configure_cache, swap_cache
 from repro.experiments.planner import collect_plan, execute_plan
 from repro.experiments.registry import EXPERIMENTS, get_flows
 from repro.experiments.runner import main as runner_main
+from repro.experiments.runner import resolve_jobs
 from repro.workloads.suite import get_workload
+
+
+def _declared(monkeypatch, specs):
+    """The plan of one stand-in experiment that declares ``specs``."""
+    monkeypatch.setattr(planner, "get_flows", lambda name: lambda **_: specs)
+    return collect_plan(["declared"], {})
+
+
+def _baselines(*names):
+    """One-wave baseline specs: each runs one simulation and caches
+    one entry."""
+    return [
+        ("baseline", get_workload(name, scale=0.5), {"waves": 1})
+        for name in names
+    ]
 
 
 class TestSpecFingerprint:
@@ -41,9 +66,9 @@ class TestSpecFingerprint:
         ) != spec_fingerprint(("virtualized", workload, {}))
 
 
-class TestRunSweepDedup:
-    def test_duplicates_run_once_and_fan_back(self, monkeypatch):
-        configure_cache()  # fresh memory cache for the flows
+class TestExecutePlan:
+    def test_defaults_normalize_to_one_run(self, monkeypatch):
+        cache = configure_cache()  # fresh memory cache for the flows
         workload = get_workload("vectoradd", scale=0.5)
         calls = []
         original = runners.FLOWS["baseline"]
@@ -59,41 +84,99 @@ class TestRunSweepDedup:
             ("baseline", workload, {"config": GPUConfig.baseline()}),
             ("baseline", workload, {"waves": 2}),
         ]
-        results = run_sweep(specs)
+        plan = _declared(monkeypatch, specs)
+        assert plan.unique == specs[:2]
+        execute_plan(plan, jobs=1)
         assert len(calls) == 1
-        assert results[0] is results[2] is results[3]
-        assert results[1] is not results[0]
-        assert results[0].stats == original(workload).stats
+        # Every duplicate replays the one run from the cache.
+        misses = cache.counters.misses
+        replayed = [run_flow(spec) for spec in specs]
+        assert cache.counters.misses == misses
+        assert replayed[0].stats == replayed[2].stats == replayed[3].stats
+        assert replayed[0].stats == original(workload).stats
 
-    def test_order_preserved_with_jobs(self):
-        configure_cache()
-        workloads = [
-            get_workload(name, scale=0.5)
-            for name in ("vectoradd", "bfs")
-        ]
-        specs = [
-            ("baseline", workloads[0], {}),
-            ("baseline", workloads[1], {}),
-            ("baseline", workloads[0], {}),  # duplicate of position 0
-        ]
-        results = run_sweep(specs, jobs=2)
-        assert results[0].workload.name == "vectoradd"
-        assert results[1].workload.name == "bfs"
-        assert results[0].stats == results[2].stats
-
-    def test_parallel_workers_export_into_parent_cache(self):
+    def test_order_preserved_with_jobs(self, monkeypatch):
         cache = configure_cache()
-        workloads = [
-            get_workload(name, scale=0.5)
-            for name in ("vectoradd", "bfs")
+        specs = _baselines("vectoradd", "bfs")
+        specs.append(specs[0])  # duplicate of position 0
+        plan = _declared(monkeypatch, specs)
+        assert plan.unique == specs[:2]
+        results = run_specs(plan.unique, jobs=2)
+        assert [r.workload.name for r in results] == ["vectoradd", "bfs"]
+        execute_plan(plan, jobs=2)
+        misses = cache.counters.misses
+        replayed = [run_flow(spec) for spec in specs]
+        assert cache.counters.misses == misses
+        assert [r.workload.name for r in replayed] == [
+            "vectoradd", "bfs", "vectoradd"
         ]
-        specs = [("baseline", w, {}) for w in workloads]
-        run_sweep(specs, jobs=2)
+        assert replayed[0].stats == replayed[2].stats == results[0].stats
+        assert replayed[1].stats == results[1].stats
+
+    def test_pool_results_match_direct_flow_calls(self):
+        configure_cache()
+        workload = get_workload("vectoradd", scale=0.5)
+        specs = [
+            ("baseline", workload, {"waves": 1}),
+            ("virtualized", workload, {"waves": 1}),
+        ]
+        pooled = run_specs(specs, jobs=2)
+        assert pooled[0].stats == run_baseline(workload, waves=1).stats
+        assert pooled[1].stats == run_virtualized(workload, waves=1).stats
+
+    def test_unknown_flow_is_rejected(self, monkeypatch):
+        workload = get_workload("vectoradd", scale=0.5)
+        plan = _declared(monkeypatch, [("bogus", workload, {})])
+        with pytest.raises(ValueError, match="unknown flow"):
+            execute_plan(plan, jobs=1)
+
+    def test_parallel_workers_export_into_parent_cache(self, monkeypatch):
+        cache = configure_cache()
+        plan = _declared(monkeypatch, _baselines("vectoradd", "bfs"))
+        execute_plan(plan, jobs=2)
         # The parent never simulated, but absorbed both entries: a
         # replay is all hits, no misses.
+        assert len(cache) == 2
         before = cache.counters.misses
-        run_sweep(specs, jobs=1)
+        execute_plan(plan, jobs=1)
         assert cache.counters.misses == before
+
+    def test_pool_run_writes_each_entry_to_disk_once(
+        self, monkeypatch, tmp_path
+    ):
+        cache = configure_cache(directory=tmp_path)
+        parent_writes = []
+        store = ResultCache._store
+
+        def recording(self, key, payload):
+            # Pool workers run their own copies of this function; only
+            # the parent's calls reach this list.
+            parent_writes.append(key)
+            store(self, key, payload)
+
+        monkeypatch.setattr(ResultCache, "_store", recording)
+        plan = _declared(monkeypatch, _baselines("vectoradd", "bfs", "nn"))
+        execute_plan(plan, jobs=2)
+        assert parent_writes == []
+        assert len(list(tmp_path.glob("*.pkl"))) == len(plan.unique) == 3
+        assert len(cache) == 3
+        assert cache.counters.stores == 3
+
+    def test_disk_cap_holds_after_a_pool_run(self, monkeypatch, tmp_path):
+        plan = _declared(monkeypatch, _baselines("vectoradd", "bfs", "nn"))
+        configure_cache(directory=tmp_path / "free")
+        execute_plan(plan, jobs=2)
+        sizes = [
+            path.stat().st_size for path in (tmp_path / "free").glob("*.pkl")
+        ]
+        assert len(sizes) == 3
+        cap = max(sizes)
+        cache = configure_cache(directory=tmp_path / "capped", max_bytes=cap)
+        execute_plan(plan, jobs=2)
+        entries, total = cache.disk_usage()
+        assert 1 <= entries < 3
+        assert total <= cap
+        assert cache.counters.evictions == 3 - entries
 
 
 class TestPlanner:
@@ -148,7 +231,6 @@ class TestPlanner:
         keyed, ran = [], []
         real_key = runners.flow_spec_key
         real_flow = runners.run_flow
-        real_map = runners.parallel_map
 
         def counting_key(*args):
             keyed.append(args)
@@ -158,13 +240,14 @@ class TestPlanner:
             ran.append(spec)
             return real_flow(spec)
 
-        def counting_map(fn, items, *rest):
-            ran.extend(items)
-            return real_map(fn, items, *rest)
+        class CountingPool(runners.ProcessPoolExecutor):
+            def map(self, fn, specs, **kwargs):
+                ran.extend(specs)
+                return super().map(fn, specs, **kwargs)
 
         monkeypatch.setattr(runners, "flow_spec_key", counting_key)
         monkeypatch.setattr(runners, "run_flow", counting_flow)
-        monkeypatch.setattr(runners, "parallel_map", counting_map)
+        monkeypatch.setattr(runners, "ProcessPoolExecutor", CountingPool)
         options = {
             "scale": 0.5, "waves": 1, "workloads": ("vectoradd", "bfs"),
         }
@@ -232,3 +315,54 @@ class TestRunnerCli:
             assert "worker process" in out
         finally:
             swap_cache(None)
+
+    def test_jobs_flag_keeps_request_order(self, tmp_path, capsys):
+        # Analytic experiments around a planned one: the plan runs on
+        # the pool, then every experiment prints in request order.
+        cache_dir = str(tmp_path / "cache")
+        try:
+            assert runner_main(
+                ["--quick", "--jobs", "2", "--cache-dir", cache_dir,
+                 "table02", "schedulers", "fig07"]
+            ) == 0
+            out = capsys.readouterr().out
+            assert "[table02]" in out
+            assert "[fig07]" in out
+            assert (
+                out.index("[table02]") < out.index("[schedulers]")
+                < out.index("[fig07]")
+            )
+            assert "(2 worker processes)" in out
+        finally:
+            swap_cache(None)
+
+    def test_resolve_jobs_bounds(self):
+        assert resolve_jobs(3) == 3
+        assert resolve_jobs(0) >= 1
+        assert resolve_jobs(None) >= 1
+        with pytest.raises(ValueError):
+            resolve_jobs(-2)
+
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", "-1", "fig07"],
+        ["--jobs", "2", "--no-cache", "fig10"],
+        ["--waves", "0", "--no-cache", "fig10"],
+        ["--waves", "-1", "--no-cache", "fig11a"],
+    ], ids=["negative-jobs", "jobs-without-cache", "zero-waves",
+            "negative-waves"])
+    def test_usage_errors_spend_no_work(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            runner_main(["--quick"] + argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_jobs_need_the_cache_from_the_environment_too(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
+        with pytest.raises(SystemExit) as exit_info:
+            runner_main(["--quick", "--jobs", "2", "fig10"])
+        assert exit_info.value.code == 2
+        assert "needs the result cache" in capsys.readouterr().err

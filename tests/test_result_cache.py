@@ -4,9 +4,8 @@ The load-bearing guarantee is *bit identity*: a warm cache hit must be
 indistinguishable — every SimStats field, every payload byte — from
 re-running the simulation, under every engine-flag combination. The
 grid tests below pin that across ``REPRO_DECODE_CACHE`` x
-``REPRO_CYCLE_SKIP``, serially and with ``sim_sms``/``jobs`` fan-out,
-and the invalidation tests pin the other direction: any input that can
-change the answer must change the key.
+``REPRO_CYCLE_SKIP``, and the invalidation tests pin the other
+direction: any input that can change the answer must change the key.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ ENGINE_GRID = [
 
 def _sim_key(kernel, launch, config, **overrides):
     kwargs = dict(
-        mode="baseline", threshold=0, sim_sms=1,
+        mode="baseline", threshold=0,
         max_ctas_per_sm_sim=None, sample_interval=0,
         trace_warp_slots=(), spill_enabled=True,
         max_cycles=50_000_000, cycle_skip=None,
@@ -170,8 +169,8 @@ class TestFingerprint:
     def test_jobs_is_not_part_of_the_key(self):
         import inspect
 
-        # simulate()'s fan-out degree must not split the cache; guard
-        # against it ever being added to the key signature.
+        # How a simulation is scheduled must not split the cache;
+        # guard against a job count ever joining the key signature.
         params = inspect.signature(simulate_key).parameters
         assert "jobs" not in params
 
@@ -320,8 +319,9 @@ class TestStore:
         assert parent.absorb(exports) == 1
         assert parent.get("a") == 99
         assert parent.get("b") == 2
-        # Absorbed entries are persisted like native stores.
-        assert ResultCache(directory=tmp_path).get("b") == 2
+        # Absorbed entries land in the memory tier only: the worker
+        # that exported them has already written its own disk copy.
+        assert ResultCache(directory=tmp_path).get("b") is MISS
 
     def test_counters_in_describe(self):
         cache = ResultCache()
@@ -370,23 +370,6 @@ class TestCachedSimulate:
             barrier_kernel, small_launch, config, cache=ResultCache()
         )
         assert cached.stats == raw.stats
-
-    def test_multi_sm_parallel_hits_same_entry(
-        self, loop_kernel, small_launch
-    ):
-        cache = ResultCache()
-        serial = cached_simulate(
-            loop_kernel, small_launch, GPUConfig.baseline(),
-            sim_sms=2, jobs=1, cache=cache,
-        )
-        fanned = cached_simulate(
-            loop_kernel, small_launch, GPUConfig.baseline(),
-            sim_sms=2, jobs=2, cache=cache,
-        )
-        # jobs is not in the key: the second call is a pure hit.
-        assert cache.counters.misses == 1
-        assert cache.counters.hits == 1
-        assert fanned.stats == serial.stats
 
     def test_config_change_misses(self, straight_kernel, small_launch):
         cache = ResultCache()

@@ -642,6 +642,56 @@ class TestFaults:
             thread.join(timeout=30)
         assert not thread.is_alive()
 
+    def test_pool_kwargs_are_rejected_and_the_connection_serves_on(
+        self, tmp_path
+    ):
+        # A simulation runs on one SM in one process: kwargs that once
+        # asked for four SMs on a four-process pool are an error.
+        spec = _spec()
+        direct = _direct(spec)
+        daemon, address, thread = _serve(tmp_path)
+        try:
+            with ServiceClient.connect(address) as client:
+                bad = protocol.spec_to_request(_spec(sim_sms=4, jobs=4))
+                client._file.write(protocol.encode_line(bad))
+                client._file.flush()
+                reply = protocol.decode_line(client._file.readline())
+                assert reply["ok"] is False
+                assert "sim_sms" in reply["error"]
+                served = client.submit(protocol.spec_to_request(spec))
+                assert served["served"] == "executed"
+                _assert_matches_direct(served, direct)
+                stats = client.stats()
+                assert stats["errors"] == 1
+                assert stats["executed"] == 1
+                client.shutdown()
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_zero_waves_is_an_error_and_is_not_cached(self, tmp_path):
+        spec = _spec()
+        direct = _direct(spec)
+        zero = _spec(waves=0)
+        daemon, address, thread = _serve(tmp_path)
+        try:
+            with ServiceClient.connect(address) as client:
+                request = protocol.spec_to_request(zero)
+                with pytest.raises(ServiceError, match="max_ctas_per_sm_sim"):
+                    client.submit(request)
+                with pytest.raises(ServiceError, match="max_ctas_per_sm_sim"):
+                    client.submit(request)
+                served = client.submit(protocol.spec_to_request(spec))
+                _assert_matches_direct(served, direct)
+                stats = client.stats()
+                assert stats["errors"] == 2
+                assert stats["cache_hits"] == 0
+                client.shutdown()
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert daemon.cache.get(protocol.service_key(zero)) is MISS
+
     def test_client_disconnect_keeps_a_joined_execution(self, tmp_path):
         # Client A's miss is executing; client B joins it; A hangs up.
         # B must still get the result, and the daemon keeps serving.

@@ -407,7 +407,7 @@ class TestReferenceCounting:
         gc.disable()
         try:
             gpu = GPU(config, kernel, TWO_CTAS, **opts)
-            core = gpu.cores[0]
+            core = gpu.core
             core.tick()  # tick 0 launches the CTA
             cta = core.resident[0]
             refs = [weakref.ref(obj) for obj in (core, cta, cta.warps[0])]

@@ -1,4 +1,4 @@
-"""GPU driver tests: grid distribution, multi-SM merge."""
+"""GPU driver tests: grid distribution, wave cap, result fields."""
 
 import pytest
 
@@ -13,7 +13,7 @@ def test_round_robin_cta_distribution(straight_kernel):
     gpu = GPU(GPUConfig.baseline(), straight_kernel, launch,
               mode="baseline")
     # 40 CTAs over 16 SMs: SM 0 gets ctaids 0, 16, 32.
-    assert gpu.cores[0].cta_queue == [0, 16, 32]
+    assert gpu.core.cta_queue == [0, 16, 32]
     assert gpu.ctas_simulated == 3
 
 
@@ -21,25 +21,16 @@ def test_wave_cap_limits_ctas(straight_kernel):
     launch = LaunchConfig(64, 32, conc_ctas_per_sm=2)
     gpu = GPU(GPUConfig.baseline(), straight_kernel, launch,
               mode="baseline", max_ctas_per_sm_sim=2)
-    assert len(gpu.cores[0].cta_queue) == 2
+    assert len(gpu.core.cta_queue) == 2
 
 
-def test_multi_sm_merges_stats(straight_kernel):
-    launch = LaunchConfig(32, 32, conc_ctas_per_sm=2)
-    single = GPU(GPUConfig.baseline(), straight_kernel.clone(), launch,
-                 mode="baseline", sim_sms=1).run()
-    double = GPU(GPUConfig.baseline(), straight_kernel.clone(), launch,
-                 mode="baseline", sim_sms=2).run()
-    assert double.stats.ctas_completed == 2 * single.stats.ctas_completed
-    assert double.stats.instructions == 2 * single.stats.instructions
-
-
-def test_invalid_sim_sms_rejected(straight_kernel):
-    launch = LaunchConfig(4, 32)
-    with pytest.raises(SimulationError):
-        GPU(GPUConfig.baseline(), straight_kernel, launch, sim_sms=0)
-    with pytest.raises(SimulationError):
-        GPU(GPUConfig.baseline(), straight_kernel, launch, sim_sms=17)
+@pytest.mark.parametrize("cap", (0, -1))
+def test_wave_cap_below_one_rejected(straight_kernel, cap):
+    # A run that simulates no CTA would report zero cycles as a result.
+    launch = LaunchConfig(64, 32, conc_ctas_per_sm=2)
+    with pytest.raises(SimulationError, match="max_ctas_per_sm_sim"):
+        GPU(GPUConfig.baseline(), straight_kernel, launch,
+            max_ctas_per_sm_sim=cap)
 
 
 def test_result_fields(straight_kernel):
@@ -51,9 +42,14 @@ def test_result_fields(straight_kernel):
     assert result.launch is launch
 
 
-def test_shared_global_memory_across_sms(barrier_kernel):
+def test_gpu_memory_holds_the_kernels_stores(barrier_kernel):
     launch = LaunchConfig(32, 64, conc_ctas_per_sm=1)
     gpu = GPU(GPUConfig.baseline(), barrier_kernel, launch,
-              mode="baseline", sim_sms=2)
+              mode="baseline")
+    assert len(gpu.gmem) == 0
     gpu.run()
-    assert len(gpu.gmem) > 0
+    # Thread t stores its right neighbour's shared word plus t at 4t;
+    # the last thread's neighbour word was never written (reads 0).
+    expected = {4 * t: 2 * t + 1 for t in range(63)}
+    expected[4 * 63] = 63
+    assert gpu.gmem.image() == expected

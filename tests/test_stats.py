@@ -1,4 +1,4 @@
-"""SimStats accounting and merge tests."""
+"""SimStats accounting tests."""
 
 from repro.sim.stats import SimStats
 
@@ -24,39 +24,3 @@ def test_mean_subarrays_active():
     stats.cycles = 100
     stats.subarray_active_cycles = 400.0
     assert stats.mean_subarrays_active == 4.0
-
-
-def test_merge_accumulates_counters():
-    a = SimStats()
-    b = SimStats()
-    a.instructions = 10
-    b.instructions = 20
-    a.cycles = 100
-    b.cycles = 80
-    a.rf_bank_accesses = [1, 2]
-    b.rf_bank_accesses = [3, 4, 5]
-    a.max_live_registers = 7
-    b.max_live_registers = 9
-    a.merge(b)
-    assert a.instructions == 30
-    assert a.cycles == 100  # max across SMs
-    assert a.rf_bank_accesses == [4, 6, 5]
-    assert a.max_live_registers == 9
-
-
-def test_merge_is_identity_with_empty():
-    a = SimStats()
-    a.instructions = 42
-    a.subarray_active_cycles = 10.0
-    a.merge(SimStats())
-    assert a.instructions == 42
-    assert a.subarray_active_cycles == 10.0
-
-
-def test_merge_takes_max_architected():
-    a = SimStats()
-    b = SimStats()
-    a.max_architected_allocated = 100
-    b.max_architected_allocated = 200
-    a.merge(b)
-    assert a.max_architected_allocated == 200

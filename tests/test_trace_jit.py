@@ -225,10 +225,8 @@ def _partition_invariants(kernel, launch):
     cache = build_decode_cache(
         compiled.kernel, config, compiled.renaming_threshold, "flags"
     )
-    assert cache.matches(compiled.kernel, config.num_banks,
-                         compiled.renaming_threshold, "flags")
     assert len(cache) == len(insts)
-    for pc, (entry, inst) in enumerate(zip(cache.entries, insts)):
+    for pc, (entry, inst) in enumerate(zip(cache, insts)):
         assert entry.inst is inst and entry.pc == pc, f"pc {pc}"
         if entry.is_branch:
             assert 0 <= entry.target_pc < len(insts), f"target of {pc}"

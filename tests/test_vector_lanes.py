@@ -9,7 +9,7 @@ reference. Every cell of the engine grid must reproduce the seed cell
 (no decode cache, one scan per simulated cycle): every
 :class:`SimStats` field except the ``ticks_executed`` /
 ``skipped_cycles`` diagnostics, and the final global-memory image, in
-every register mode, serial or parallel. These tests pin that grid,
+every register mode. These tests pin that grid,
 the aliasing/mask edge cases the in-place writes are most likely to
 get wrong, the :class:`VectorWarp` storage invariants, and how cores
 bind their issue and tick entry points.
@@ -80,7 +80,7 @@ def _comparable(result) -> dict:
 
 
 def _simulate(name, mode, scale=0.5, fraction=SHRINK_FRACTION, waves=1,
-              jobs=1, **kwargs):
+              **kwargs):
     """Run ``name`` in ``mode`` (``shrink`` is flags mode on a shrunk
     file); returns the comparable stats and the global-memory image."""
     workload = get_workload(name, scale=scale)
@@ -104,7 +104,7 @@ def _simulate(name, mode, scale=0.5, fraction=SHRINK_FRACTION, waves=1,
         )
         gpu = GPU(config, workload.kernel.clone(), workload.launch,
                   mode=mode, **opts)
-    return _comparable(gpu.run(jobs=jobs)), gpu.gmem.image()
+    return _comparable(gpu.run()), gpu.gmem.image()
 
 
 def _assert_cells_match_seed(label, runs):
@@ -132,20 +132,6 @@ class TestEquivalenceGrid:
             with _engine(cell):
                 runs[cell] = _simulate("matrixmul", mode)
         _assert_cells_match_seed(f"matrixmul/{mode}", runs)
-
-    def test_parallel_matches_serial_reference(self):
-        """The process-pool engine (workers re-resolve the env flags
-        when rebuilding cores from CoreJob specs) must agree with the
-        serial seed cell."""
-        with _engine(SEED_CELL):
-            serial = _simulate("matrixmul", "flags", sim_sms=2,
-                               max_ctas_per_sm_sim=2)
-        for cell in (DEFAULT_CELL, SEED_CELL):
-            with _engine(cell):
-                parallel = _simulate("matrixmul", "flags", sim_sms=2,
-                                     max_ctas_per_sm_sim=2, jobs=2)
-            assert parallel[0] == serial[0], f"parallel {cell} stats"
-            assert parallel[1] == serial[1], f"parallel {cell} memory"
 
     def test_spill_path_is_bit_identical(self):
         """Deep shrink with spill/fill churn: warps round-trip their
@@ -232,9 +218,9 @@ def _run_kernel(kernel, mode, threads_per_cta=32, grid_ctas=1):
     if sim_mode == "flags":
         compiled = compile_kernel(kernel, launch, config)
         gpu = GPU(config, compiled.kernel, launch, mode="flags",
-                  threshold=compiled.renaming_threshold, sim_sms=1)
+                  threshold=compiled.renaming_threshold)
     else:
-        gpu = GPU(config, kernel.clone(), launch, mode=sim_mode, sim_sms=1)
+        gpu = GPU(config, kernel.clone(), launch, mode=sim_mode)
     result = gpu.run()
     return result, gpu.gmem.image()
 
