@@ -57,6 +57,7 @@ __all__ = [
     "init_worker",
     "parse_size",
     "reset_cache",
+    "resolve_jobs",
     "simulate_key",
     "swap_cache",
 ]
@@ -153,3 +154,14 @@ def init_worker(cache_env: str) -> None:
     os.environ["REPRO_RESULT_CACHE"] = cache_env
     os.environ.pop("REPRO_RESULT_CACHE_MAX_BYTES", None)
     reset_cache()
+
+
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a ``--jobs`` value for a pool started with
+    :func:`init_worker`: ``0``/``None`` means one per CPU; a negative
+    count is a ``ValueError``."""
+    if not jobs:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return jobs

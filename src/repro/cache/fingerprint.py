@@ -186,20 +186,14 @@ def fingerprint(*parts: object) -> str:
     return hashlib.sha256(_serialize(canonicalize(parts))).hexdigest()
 
 
-def engine_fingerprint(cycle_skip: bool | None = None) -> tuple:
-    """The engine configuration a simulation result depends on.
-
-    ``cycle_skip=None`` defers to ``REPRO_CYCLE_SKIP`` exactly as
-    :class:`~repro.sim.core.SMCore` does; an explicit boolean (the
-    ``simulate`` kwarg) wins over the environment.
-    """
-    if cycle_skip is None:
-        cycle_skip = _flag("REPRO_CYCLE_SKIP")
+def engine_fingerprint() -> tuple:
+    """The engine configuration a simulation result depends on: the
+    ``REPRO_DECODE_CACHE`` and ``REPRO_CYCLE_SKIP`` switches."""
     return (
         "engine",
         CACHE_SCHEMA_VERSION,
         _flag("REPRO_DECODE_CACHE"),
-        bool(cycle_skip),
+        _flag("REPRO_CYCLE_SKIP"),
     )
 
 
@@ -215,12 +209,11 @@ def simulate_key(
     trace_warp_slots: tuple[int, ...],
     spill_enabled: bool,
     max_cycles: int,
-    cycle_skip: bool | None,
 ) -> str:
     """Cache key for one :func:`repro.sim.gpu.simulate` call."""
     return fingerprint(
         "sim",
-        engine_fingerprint(cycle_skip),
+        engine_fingerprint(),
         kernel,
         launch,
         config,

@@ -33,7 +33,6 @@ def cached_simulate(
     trace_warp_slots: tuple[int, ...] = (),
     spill_enabled: bool = True,
     max_cycles: int = 50_000_000,
-    cycle_skip: bool | None = None,
     cache: ResultCache | None = None,
 ) -> SimulationResult:
     """:func:`repro.sim.gpu.simulate`, memoized by content.
@@ -55,13 +54,8 @@ def cached_simulate(
         max_cycles=max_cycles,
     )
     if not cache.enabled:
-        return simulate(
-            kernel.clone(), launch, config,
-            cycle_skip=cycle_skip, **kwargs,
-        )
-    key = simulate_key(
-        kernel, launch, config, cycle_skip=cycle_skip, **kwargs
-    )
+        return simulate(kernel.clone(), launch, config, **kwargs)
+    key = simulate_key(kernel, launch, config, **kwargs)
     hit = cache.get(key)
     if hit is not MISS:
         return hit
@@ -70,10 +64,7 @@ def cached_simulate(
     # between our put and the caller receiving it.
     cache.pin(key)
     try:
-        result = simulate(
-            kernel.clone(), launch, config,
-            cycle_skip=cycle_skip, **kwargs,
-        )
+        result = simulate(kernel.clone(), launch, config, **kwargs)
         cache.put(key, result)
     finally:
         cache.unpin(key)

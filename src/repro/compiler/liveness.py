@@ -133,7 +133,3 @@ class LivenessAnalysis:
                 dead = False
             flags.append(dead)
         return tuple(flags)
-
-    def upward_exposed(self, pc: int) -> set[int]:
-        """Registers read by ``pc`` (exposed uses)."""
-        return _to_set(self._use[pc])

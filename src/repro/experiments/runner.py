@@ -35,7 +35,13 @@ import re
 import sys
 import time
 
-from repro.cache import configure_cache, get_cache, parse_size, reset_cache
+from repro.cache import (
+    configure_cache,
+    get_cache,
+    parse_size,
+    reset_cache,
+    resolve_jobs,
+)
 from repro.errors import ConfigError
 from repro.experiments.planner import collect_plan, execute_plan
 from repro.experiments.registry import EXPERIMENTS, get_experiment
@@ -60,15 +66,6 @@ def _export_csv(result, directory: pathlib.Path) -> list[pathlib.Path]:
         path.write_text(table.to_csv())
         written.append(path)
     return written
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a ``--jobs`` value: ``0``/``None`` means one per CPU."""
-    if not jobs:
-        return os.cpu_count() or 1
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    return jobs
 
 
 def _configure_cache_from_args(args):
@@ -140,12 +137,6 @@ def main(argv: list[str] | None = None) -> int:
              "$REPRO_RESULT_CACHE_MAX_BYTES or unbounded)",
     )
     parser.add_argument(
-        "--serve", metavar="ADDR", nargs="?", const="", default=None,
-        help="run as a simulation daemon on ADDR (unix path or "
-             ":port; default .repro-service.sock) instead of running "
-             "experiments; --jobs sets the worker pool",
-    )
-    parser.add_argument(
         "--submit", metavar="ADDR", default=None,
         help="execute the deduplicated simulation plan on a running "
              "daemon instead of locally, then replay the experiments "
@@ -189,18 +180,6 @@ def main(argv: list[str] | None = None) -> int:
 
     cache = _configure_cache_from_args(args)
 
-    if args.serve is not None:
-        if args.submit is not None:
-            parser.error("--serve and --submit are mutually exclusive")
-        if args.experiments:
-            parser.error("--serve takes no experiment ids")
-        if not cache.enabled:
-            parser.error("--serve needs the result cache (drop "
-                         "--no-cache)")
-        from repro.service.client import DEFAULT_SOCKET
-        from repro.service.daemon import serve_cli
-
-        return serve_cli(args.serve or DEFAULT_SOCKET, cache, jobs)
     if args.submit is not None and args.no_cache:
         parser.error("--submit needs the result cache (drop --no-cache)")
     if args.submit is not None and args.profile:

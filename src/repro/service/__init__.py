@@ -17,9 +17,9 @@ top of both:
 * :mod:`repro.service.client` — sync and async clients speaking the
   protocol over a unix socket or local TCP.
 
-Start a server with ``python -m repro.experiments.runner --serve`` (or
-``python -m repro.service.daemon``); talk to it with
-:class:`~repro.service.client.ServiceClient`.
+Start a server with ``python -m repro.service.daemon``; talk to it
+with :class:`~repro.service.client.ServiceClient` (or ``python -m
+repro.experiments.runner --submit ADDR``).
 """
 
 from repro.service.client import (

@@ -26,8 +26,7 @@ replays); only the parent enforces the size cap, so pinned keys
 cannot be evicted from another process.
 
 Run one with ``python -m repro.service.daemon --socket PATH`` (or
-``--port N`` for local TCP), or ``python -m repro.experiments.runner
---serve``.
+``--port N`` for local TCP).
 """
 
 from __future__ import annotations
@@ -43,7 +42,14 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.cache import ResultCache, cache_env_value, get_cache, init_worker
+from repro.cache import (
+    ResultCache,
+    cache_env_value,
+    configure_cache,
+    get_cache,
+    init_worker,
+    resolve_jobs,
+)
 from repro.cache.store import MISS, parse_size
 from repro.service import protocol
 from repro.service.client import DEFAULT_SOCKET, format_address, parse_address
@@ -363,12 +369,49 @@ def serve(
     asyncio.run(daemon.run(address, ready=ready))
 
 
-def serve_cli(address: str, cache: ResultCache, jobs: int) -> int:
-    """Foreground CLI serving loop: banner, serve, clean up the socket.
-
-    Shared by ``python -m repro.service.daemon`` and ``python -m
-    repro.experiments.runner --serve``.
-    """
+def main(argv: list[str] | None = None) -> int:
+    """The daemon CLI: banner, serve, clean up the socket."""
+    parser = argparse.ArgumentParser(
+        prog="repro.service.daemon",
+        description="Long-lived simulation server over the result cache.",
+    )
+    parser.add_argument(
+        "--socket", metavar="PATH", default=None,
+        help=f"unix socket to listen on (default {DEFAULT_SOCKET})",
+    )
+    parser.add_argument(
+        "--port", type=int, metavar="N", default=None,
+        help="listen on local TCP 127.0.0.1:N instead of a unix socket",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=2, metavar="N",
+        help="worker processes executing cache misses (0 = one per CPU; "
+        "default 2)",
+    )
+    parser.add_argument(
+        "--cache-dir", metavar="DIR", default=".repro-cache",
+        help="shared disk cache directory (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--max-bytes", metavar="SIZE", default=None,
+        help="disk cache cap with LRU eviction (e.g. 64m; default: "
+        "$REPRO_RESULT_CACHE_MAX_BYTES or unbounded)",
+    )
+    args = parser.parse_args(argv)
+    if args.socket is not None and args.port is not None:
+        parser.error("--socket and --port are mutually exclusive")
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ValueError as exc:
+        parser.error(str(exc))
+    address = (
+        f"127.0.0.1:{args.port}" if args.port is not None
+        else (args.socket or DEFAULT_SOCKET)
+    )
+    max_bytes = (
+        parse_size(args.max_bytes) if args.max_bytes is not None else None
+    )
+    cache = configure_cache(directory=args.cache_dir, max_bytes=max_bytes)
     print(
         f"serving on {format_address(address)} "
         f"({jobs} worker process{'es' if jobs != 1 else ''}, "
@@ -389,50 +432,6 @@ def serve_cli(address: str, cache: ResultCache, jobs: int) -> int:
                 pass
     print("daemon stopped")
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.service.daemon",
-        description="Long-lived simulation server over the result cache.",
-    )
-    parser.add_argument(
-        "--socket", metavar="PATH", default=None,
-        help=f"unix socket to listen on (default {DEFAULT_SOCKET})",
-    )
-    parser.add_argument(
-        "--port", type=int, metavar="N", default=None,
-        help="listen on local TCP 127.0.0.1:N instead of a unix socket",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="worker processes executing cache misses (default 2)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=".repro-cache",
-        help="shared disk cache directory (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--max-bytes", metavar="SIZE", default=None,
-        help="disk cache cap with LRU eviction (e.g. 64m; default: "
-        "$REPRO_RESULT_CACHE_MAX_BYTES or unbounded)",
-    )
-    args = parser.parse_args(argv)
-    if args.socket is not None and args.port is not None:
-        parser.error("--socket and --port are mutually exclusive")
-    address = (
-        f"127.0.0.1:{args.port}" if args.port is not None
-        else (args.socket or DEFAULT_SOCKET)
-    )
-    max_bytes = (
-        parse_size(args.max_bytes) if args.max_bytes is not None else None
-    )
-    from repro.cache import configure_cache
-
-    cache = configure_cache(
-        directory=args.cache_dir, max_bytes=max_bytes
-    )
-    return serve_cli(address, cache, max(1, args.jobs))
 
 
 if __name__ == "__main__":

@@ -183,7 +183,7 @@ def service_key(spec: tuple) -> str:
     return fingerprint(
         "service",
         PROTOCOL_VERSION,
-        engine_fingerprint(None),
+        engine_fingerprint(),
         flow,
         workload,
         kwargs,

@@ -64,6 +64,13 @@ FILL_HYSTERESIS = 4
 _MODES = ("baseline", "flags", "redefine")
 
 
+def _switch_on(name: str) -> bool:
+    """An engine switch, read as the result cache's engine fingerprint
+    reads it."""
+    value = os.environ.get(name, "1").strip().lower()
+    return value not in ("0", "off", "false", "no")
+
+
 class _Issue(enum.Enum):
     ISSUED = 0
     SCOREBOARD = 1
@@ -112,7 +119,6 @@ class SMCore:
         sample_interval: int = 0,
         trace_warp_slots: tuple[int, ...] = (),
         spill_enabled: bool = True,
-        cycle_skip: bool | None = None,
     ):
         if mode not in _MODES:
             raise SimulationError(f"unknown register mode '{mode}'")
@@ -126,7 +132,6 @@ class SMCore:
         ensure_reconvergence(kernel)
         self.instructions = kernel.instructions
         self.launch = launch
-        self.mode = mode
         self.stats = SimStats()
         self.gmem = gmem if gmem is not None else GlobalMemory()
         self.regfile = PhysicalRegisterFile(config, self.stats)
@@ -201,10 +206,7 @@ class SMCore:
         # reference path (one full scheduler scan per simulated cycle);
         # both paths produce bit-identical :class:`SimStats` except for
         # the ``ticks_executed`` / ``skipped_cycles`` diagnostics.
-        if cycle_skip is None:
-            env_skip = os.environ.get("REPRO_CYCLE_SKIP", "1")
-            cycle_skip = env_skip.strip().lower() not in ("0", "off", "false")
-        self.cycle_skip = cycle_skip
+        self.cycle_skip = _switch_on("REPRO_CYCLE_SKIP")
         # Memoized "CTA launch is blocked" key: while none of the
         # inputs a launch attempt depends on have changed, re-attempting
         # the queue head is pointless (and, per cycle, would be the
@@ -232,8 +234,7 @@ class SMCore:
         # (kept verbatim as ``_try_issue_uncached``) for equivalence
         # testing.
         self._decode: list[DecodedInst] | None = None
-        env = os.environ.get("REPRO_DECODE_CACHE", "1").strip().lower()
-        if env not in ("0", "off", "false"):
+        if _switch_on("REPRO_DECODE_CACHE"):
             self._decode = build_decode_cache(
                 kernel, config, threshold if mode == "flags" else 0, mode
             )
@@ -250,14 +251,6 @@ class SMCore:
             self._decode is None or config.scheduler_policy == "gto"
         )
         self._underprov = config.is_underprovisioned
-        # Whether the frame inlines the renaming table's write and
-        # release: tracer-less flags mode with bank-preserving
-        # allocation, the paper's configuration.
-        self._inline_renaming = (
-            mode == "flags"
-            and self.renaming.tracer is None
-            and config.bank_preserving_renaming
-        )
 
     # ------------------------------------------------------------------ events
     def _push_event(self, cycle: int, kind: str, payload: tuple) -> None:
@@ -334,7 +327,7 @@ class SMCore:
                   self.launch.grid_ctas)
         cta.required_regs = self.warps_per_cta * self.regs_per_thread
 
-        if self.mode == "baseline":
+        if self.renaming is None:
             needed = cta.required_regs
             if self.regfile.free_count < needed:
                 return False
@@ -348,8 +341,7 @@ class SMCore:
                         raise SimulationError("baseline allocation failed")
                     cta.static_phys.append(result[0])
             self.stats.architected_registers_demand += needed
-
-        if self.renaming is not None:
+        else:
             # Exact side-effect-free precheck: ``launch_warp`` pins
             # ``threshold`` exempt registers per warp, and the bank
             # fallback inside ``regfile.allocate`` means those
@@ -579,15 +571,18 @@ class SMCore:
         The decode-cached issue frame: issue, register access, execute
         and retire unrolled into one frame over the decoded record and
         the warp's :class:`VectorWarp` rows, for every register mode.
-        Register access takes one of three branches:
+        Register access takes one of two branches:
 
-        * tracer-less flags mode with bank-preserving allocation (the
-          paper's configuration) inlines ``RenamingTable.write`` and
-          ``release`` (decided once, at construction);
         * baseline mode reads the decoded per-slot-class bank ids,
           through the register file cache when one is configured;
-        * any other renaming setup (redefine mode, a lifetime tracer,
-          the least-occupied-bank ablation) calls the renaming table.
+        * every renaming setup inlines ``RenamingTable.write``,
+          ``read`` and ``release``. Redefine mode, the
+          least-occupied-bank ablation and a lifetime tracer differ
+          only by one test each, on a redefinition, an allocation and
+          a traced definition or release.
+
+        Execute is one dispatch over an optional lane mask, ``None``
+        for a full, unguarded warp.
 
         Seed-path cores (``REPRO_DECODE_CACHE=0``) rebind this to
         ``_try_issue_uncached``, the reference it must match: the
@@ -653,28 +648,71 @@ class SMCore:
         penalty = 0
         regfile = self.regfile
         bank_acc = stats.rf_bank_accesses
-        regs_per_bank = regfile.regs_per_bank
         dst = d.dst
-        if self._inline_renaming:
+        if renaming is None:
+            # Baseline: every architected register is pinned in its
+            # compiler bank, ``(reg + slot) % num_banks``.
+            slotmod = slot % regfile.num_banks
+            src_banks = d.src_banks_by_slotmod[slotmod]
+            rfc = self.rfc
+            if rfc is None:
+                if dst is not None:
+                    stats.rf_writes += 1
+                    bank_acc[d.dst_bank_by_slotmod[slotmod]] += 1
+                if src_banks:
+                    stats.rf_reads += len(src_banks)
+                    for bank in src_banks:
+                        bank_acc[bank] += 1
+                    extra = d.baseline_conflict_extra
+                    if extra:
+                        stats.stall_bank_conflict_cycles += extra
+                        penalty += extra
+            else:
+                if dst is not None:
+                    evicted = rfc.write(slot, dst)
+                    if evicted is not None:
+                        self._mrf_writebacks(warp, [evicted])
+                banks = []
+                for reg, bank in zip(d.dedup_srcs, src_banks):
+                    if rfc.read(slot, reg):
+                        continue  # RFC hit: no main-register-file access
+                    stats.rf_reads += 1
+                    bank_acc[bank] += 1
+                    banks.append(bank)
+                penalty += self._conflict_penalty(banks)
+        else:
+            # ``RenamingTable.write``, ``read`` and ``release`` unrolled
+            # over the decoded exemption split. The renaming setups
+            # differ only where noted: redefinition in redefine mode,
+            # the bank an allocation asks for, and the lifetime tracer.
             if d.lookup_conflict_extra:
                 stats.renaming_conflict_cycles += d.lookup_conflict_extra
+            regs_per_bank = regfile.regs_per_bank
             warp_map = renaming._maps[slot]
+            tracer = renaming.tracer
             if dst is not None:
                 if d.dst_above:
                     if forbid_alloc and dst not in warp_map:
                         return _Issue.FORBIDDEN
                     stats.renaming_reads += 1
                     dst_phys = warp_map.get(dst)
+                    if dst_phys is not None and renaming.redefine:
+                        # The hardware-only baseline [46] frees the old
+                        # instance and maps a fresh register.
+                        renaming._free(slot, dst, dst_phys, now)
+                        dst_phys = None
                     if dst_phys is None:
                         # ``RenamingTable._allocate`` unrolled: the
                         # compiler bank is the decode cache's
-                        # precomputed ``(dst + slot) % num_banks``.
-                        result = regfile.allocate(
-                            d.dst_bank_by_slotmod[
+                        # precomputed ``(dst + slot) % num_banks``,
+                        # unless the ablation ignores it.
+                        if self.config.bank_preserving_renaming:
+                            bank = d.dst_bank_by_slotmod[
                                 slot % regfile.num_banks
-                            ],
-                            now,
-                        )
+                            ]
+                        else:
+                            bank = renaming._least_occupied_bank()
+                        result = regfile.allocate(bank, now)
                         if result is None:
                             return _Issue.ALLOC
                         dst_phys, wake = result
@@ -691,6 +729,8 @@ class SMCore:
                         if wake:
                             penalty += wake
                             stats.stall_wakeup_cycles += wake
+                    if tracer is not None:
+                        tracer(slot, dst, "def", now)
                 else:
                     dst_phys = renaming._direct[slot][dst]
                 stats.rf_writes += 1
@@ -725,7 +765,7 @@ class SMCore:
                     stats.stall_bank_conflict_cycles += extra
                     penalty += extra
             # ``RenamingTable.release`` with its ``_free`` helper
-            # unrolled.
+            # unrolled (only flags mode decodes release lists).
             if d.release_list is not None:
                 threshold = renaming.threshold
                 rel_live = renaming._released_live[slot]
@@ -742,143 +782,60 @@ class SMCore:
                     renaming.version += 1
                     renaming.cta_allocated[renaming._cta_of_warp[slot]] -= 1
                     rel_live.add(reg)
-        elif renaming is None:
-            # Baseline: every architected register is pinned in its
-            # compiler bank, ``(reg + slot) % num_banks``.
-            slotmod = slot % regfile.num_banks
-            src_banks = d.src_banks_by_slotmod[slotmod]
-            rfc = self.rfc
-            if rfc is None:
-                if dst is not None:
-                    stats.rf_writes += 1
-                    bank_acc[d.dst_bank_by_slotmod[slotmod]] += 1
-                if src_banks:
-                    stats.rf_reads += len(src_banks)
-                    for bank in src_banks:
-                        bank_acc[bank] += 1
-                    extra = d.baseline_conflict_extra
-                    if extra:
-                        stats.stall_bank_conflict_cycles += extra
-                        penalty += extra
-            else:
-                if dst is not None:
-                    evicted = rfc.write(slot, dst)
-                    if evicted is not None:
-                        self._mrf_writebacks(warp, [evicted])
-                banks = []
-                for reg, bank in zip(d.dedup_srcs, src_banks):
-                    if rfc.read(slot, reg):
-                        continue  # RFC hit: no main-register-file access
-                    stats.rf_reads += 1
-                    bank_acc[bank] += 1
-                    banks.append(bank)
-                penalty += self._conflict_penalty(banks)
-        else:
-            # Redefine mode, a lifetime tracer or the least-occupied-
-            # bank ablation: the renaming table's own accessors.
-            if d.lookup_conflict_extra:
-                stats.renaming_conflict_cycles += d.lookup_conflict_extra
-            if dst is not None:
-                if (
-                    forbid_alloc
-                    and d.dst_above
-                    and not renaming.is_mapped(slot, dst)
-                ):
-                    return _Issue.FORBIDDEN
-                result = renaming.write(slot, dst, now)
-                if result is None:
-                    return _Issue.ALLOC
-                dst_phys, wake = result
-                if wake:
-                    penalty += wake
-                    stats.stall_wakeup_cycles += wake
-                stats.rf_writes += 1
-                bank_acc[dst_phys // regs_per_bank] += 1
-            banks = []
-            for reg in d.dedup_srcs:
-                phys = renaming.read(slot, reg, now)
-                if phys is not None:
-                    stats.rf_reads += 1
-                    bank = phys // regs_per_bank
-                    bank_acc[bank] += 1
-                    banks.append(bank)
-            penalty += self._conflict_penalty(banks)
-            if d.release_list is not None:
-                for reg in d.release_list:
-                    renaming.release(slot, reg, now)
+                    if tracer is not None:
+                        tracer(slot, reg, "release", now)
 
-        # Execute: ``taken`` is the integer taken-mask for branches,
-        # unused otherwise. Operand rows are bound once per (warp, pc).
+        # Execute: one dispatch over ``mask``, the lanes a write may
+        # touch; ``None`` means a full, unguarded warp, which writes its
+        # rows directly. ``taken`` is the integer taken-mask for
+        # branches, unused otherwise. Operand rows are bound once per
+        # (warp, pc).
         entry = warp._vec_ops.get(d.pc)
         if entry is None:
             entry = _bind_rows(d, warp)
         src_rows, dst_row, guard_row, pdst_row = entry
-        taken = None
-        kind = d.exec_kind
-        if guard_row is None:
-            if kind == EXEC_ALU:
-                if top.mask == stack.full_mask:
-                    d.exec_out(d.inst, src_rows, warp, dst_row)
-                else:
-                    scratch = warp._scratch
-                    d.exec_out(d.inst, src_rows, warp, scratch)
-                    np.copyto(dst_row, scratch, where=warp.mask_array())
-            elif kind == EXEC_SETP:
-                rhs = d.setp_imm if d.setp_imm is not None else src_rows[1]
-                if top.mask == stack.full_mask:
-                    d.setp_cmp(src_rows[0], rhs, out=pdst_row)
-                else:
-                    stage = warp._bscratch
-                    d.setp_cmp(src_rows[0], rhs, out=stage)
-                    np.copyto(pdst_row, stage, where=warp.mask_array())
-            elif d.is_branch:
-                taken = top.mask
-            elif kind == EXEC_LOAD:
-                mask = warp.mask_array()
-                addrs = warp._scratch2
-                np.add(src_rows[0], d.offset, out=addrs)
-                np.bitwise_and(addrs, ADDR_MASK, out=addrs)
-                memory = self.gmem if d.is_global_mem else warp.cta.shared
-                memory.load_into(addrs, mask, warp._mscratch)
-                np.copyto(dst_row, warp._mscratch, where=mask)
-            elif kind == EXEC_STORE:
-                mask = warp.mask_array()
-                addrs = warp._scratch2
-                np.add(src_rows[0], d.offset, out=addrs)
-                np.bitwise_and(addrs, ADDR_MASK, out=addrs)
-                memory = self.gmem if d.is_global_mem else warp.cta.shared
-                memory.store(addrs, src_rows[1], mask)
-        else:
-            gmask = warp._gscratch
+        if guard_row is not None:
+            mask = warp._gscratch
             if d.guard_negated:
                 # On booleans ``a > b`` is ``a & ~b``: one fused ufunc.
-                np.greater(warp.mask_array(), guard_row, out=gmask)
+                np.greater(warp.mask_array(), guard_row, out=mask)
             else:
-                np.logical_and(warp.mask_array(), guard_row, out=gmask)
-            if kind == EXEC_ALU:
+                np.logical_and(warp.mask_array(), guard_row, out=mask)
+        elif top.mask == stack.full_mask:
+            mask = None
+        else:
+            mask = warp.mask_array()
+        taken = None
+        kind = d.exec_kind
+        if kind == EXEC_ALU:
+            if mask is None:
+                d.exec_out(d.inst, src_rows, warp, dst_row)
+            else:
                 scratch = warp._scratch
                 d.exec_out(d.inst, src_rows, warp, scratch)
-                np.copyto(dst_row, scratch, where=gmask)
-            elif kind == EXEC_SETP:
-                rhs = d.setp_imm if d.setp_imm is not None else src_rows[1]
+                np.copyto(dst_row, scratch, where=mask)
+        elif kind == EXEC_SETP:
+            rhs = d.setp_imm if d.setp_imm is not None else src_rows[1]
+            if mask is None:
+                d.setp_cmp(src_rows[0], rhs, out=pdst_row)
+            else:
                 stage = warp._bscratch
                 d.setp_cmp(src_rows[0], rhs, out=stage)
-                np.copyto(pdst_row, stage, where=gmask)
-            elif d.is_branch:
-                taken = array_to_mask(gmask)
-            elif kind == EXEC_LOAD:
-                addrs = warp._scratch2
-                np.add(src_rows[0], d.offset, out=addrs)
-                np.bitwise_and(addrs, ADDR_MASK, out=addrs)
-                memory = self.gmem if d.is_global_mem else warp.cta.shared
-                memory.load_into(addrs, gmask, warp._mscratch)
-                np.copyto(dst_row, warp._mscratch, where=gmask)
-            elif kind == EXEC_STORE:
-                addrs = warp._scratch2
-                np.add(src_rows[0], d.offset, out=addrs)
-                np.bitwise_and(addrs, ADDR_MASK, out=addrs)
-                memory = self.gmem if d.is_global_mem else warp.cta.shared
-                memory.store(addrs, src_rows[1], gmask)
+                np.copyto(pdst_row, stage, where=mask)
+        elif d.is_branch:
+            taken = top.mask if guard_row is None else array_to_mask(mask)
+        elif kind == EXEC_LOAD or kind == EXEC_STORE:
+            if mask is None:
+                mask = warp.mask_array()
+            addrs = warp._scratch2
+            np.add(src_rows[0], d.offset, out=addrs)
+            np.bitwise_and(addrs, ADDR_MASK, out=addrs)
+            memory = self.gmem if d.is_global_mem else warp.cta.shared
+            if kind == EXEC_LOAD:
+                memory.load_into(addrs, mask, warp._mscratch)
+                np.copyto(dst_row, warp._mscratch, where=mask)
+            else:
+                memory.store(addrs, src_rows[1], mask)
 
         stats.instructions += 1
         warp.last_issue_cycle = now
@@ -912,7 +869,7 @@ class SMCore:
 
         if d.is_exit:
             exit_mask = (
-                top.mask if guard_row is None else array_to_mask(gmask)
+                top.mask if guard_row is None else array_to_mask(mask)
             )
             if stack.exit_lanes(exit_mask):
                 self._finish_warp(warp, now)

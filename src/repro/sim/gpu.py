@@ -62,7 +62,6 @@ class GPU:
         sample_interval: int = 0,
         trace_warp_slots: tuple[int, ...] = (),
         spill_enabled: bool = True,
-        cycle_skip: bool | None = None,
     ):
         if max_ctas_per_sm_sim is not None and max_ctas_per_sm_sim < 1:
             raise SimulationError("max_ctas_per_sm_sim must be >= 1")
@@ -80,7 +79,6 @@ class GPU:
             sample_interval=sample_interval,
             trace_warp_slots=trace_warp_slots,
             spill_enabled=spill_enabled,
-            cycle_skip=cycle_skip,
         )
         per_sm = math.ceil(launch.grid_ctas / config.num_sms)
         if max_ctas_per_sm_sim is not None:
@@ -112,7 +110,6 @@ def simulate(
     trace_warp_slots: tuple[int, ...] = (),
     spill_enabled: bool = True,
     max_cycles: int = 50_000_000,
-    cycle_skip: bool | None = None,
 ) -> SimulationResult:
     """Simulate one kernel launch and return its statistics.
 
@@ -132,6 +129,5 @@ def simulate(
         sample_interval=sample_interval,
         trace_warp_slots=trace_warp_slots,
         spill_enabled=spill_enabled,
-        cycle_skip=cycle_skip,
     )
     return gpu.run(max_cycles=max_cycles)

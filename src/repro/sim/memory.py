@@ -142,11 +142,6 @@ class MemoryUnit:
         return start // self.bandwidth + self.latency
 
     @property
-    def interval(self) -> float:
-        """Cycles between service slots (compat accessor)."""
-        return 1.0 / self.bandwidth
-
-    @property
     def busy_until(self) -> float:
         """First cycle with a free service slot (fractional)."""
         return self._next_numerator / self.bandwidth

@@ -54,7 +54,9 @@ class RenamingTable:
         self.regfile = regfile
         self.stats = stats
         self.threshold = threshold
-        self.mode = mode
+        #: Hardware-only renaming [46]: redefinition, not the compiler's
+        #: release flags, frees a mapping.
+        self.redefine = mode == "redefine"
         self.tracer = tracer
         self._maps: dict[int, dict[int, int]] = {}
         self._direct: dict[int, dict[int, int]] = {}
@@ -174,7 +176,7 @@ class RenamingTable:
         warp_map = self._maps[warp_slot]
         phys = warp_map.get(arch)
         if phys is not None:
-            if self.mode == "redefine":
+            if self.redefine:
                 # Hardware-only scheme: redefinition releases the old
                 # instance and maps a fresh register.
                 self._free(warp_slot, arch, phys, now)
@@ -186,7 +188,7 @@ class RenamingTable:
 
     def release(self, warp_slot: int, arch: int, now: int) -> bool:
         """Compiler-directed release (pir/pbr). No-op in redefine mode."""
-        if self.mode == "redefine" or arch < self.threshold:
+        if self.redefine or arch < self.threshold:
             return False
         phys = self._maps[warp_slot].get(arch)
         if phys is None:
@@ -228,13 +230,7 @@ class RenamingTable:
         if self.config.bank_preserving_renaming:
             bank = bank_of(arch, warp_slot, self.config.num_banks)
         else:
-            # Ablation: ignore the compiler's bank assignment and take
-            # the least-occupied bank, re-introducing operand
-            # collector bank conflicts.
-            bank = max(
-                range(self.config.num_banks),
-                key=self.regfile.free_count_in_bank,
-            )
+            bank = self._least_occupied_bank()
         result = self.regfile.allocate(bank, now)
         if result is None:
             return None
@@ -253,6 +249,14 @@ class RenamingTable:
             self.tracer(warp_slot, arch, "def", now)
         return phys, penalty
 
+    def _least_occupied_bank(self) -> int:
+        """Ablation: ignore the compiler's bank assignment and take the
+        least-occupied bank, re-introducing operand collector bank
+        conflicts."""
+        return max(
+            range(self.config.num_banks), key=self.regfile.free_count_in_bank
+        )
+
     def _free(self, warp_slot: int, arch: int, phys: int, now: int) -> None:
         del self._maps[warp_slot][arch]
         self.regfile.free(phys, now)
@@ -267,8 +271,3 @@ class RenamingTable:
         if arch < self.threshold:
             return arch in self._direct[warp_slot]
         return arch in self._maps[warp_slot]
-
-    def physical_of(self, warp_slot: int, arch: int) -> int | None:
-        if arch < self.threshold:
-            return self._direct[warp_slot].get(arch)
-        return self._maps[warp_slot].get(arch)

@@ -110,10 +110,6 @@ class Warp:
         self.stack.pc = value
 
     @property
-    def finished(self) -> bool:
-        return self.status is WarpStatus.FINISHED
-
-    @property
     def active_mask(self) -> int:
         return self.stack.active_mask
 

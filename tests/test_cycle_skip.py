@@ -17,6 +17,7 @@ import dataclasses
 import pytest
 
 from repro.arch import GPUConfig
+from repro.cache import engine_fingerprint
 from repro.compiler import compile_kernel
 from repro.sim.gpu import GPU, simulate
 from repro.workloads.suite import get_workload
@@ -102,43 +103,44 @@ class TestEquivalenceGrid:
 
 
 class TestDiagnostics:
-    def test_ticks_plus_skipped_covers_every_cycle(self):
-        result = _simulate("matrixmul", "shrink", cycle_skip=True)
+    def test_ticks_plus_skipped_covers_every_cycle(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CYCLE_SKIP", "1")
+        result = _simulate("matrixmul", "shrink")
         stats = result.stats
         assert stats.skipped_cycles > 0
         assert stats.ticks_executed + stats.skipped_cycles == stats.cycles
 
     @pytest.mark.parametrize("name", ("scalarprod", "backprop", "lud"))
-    def test_deep_shrink_skips_most_cycles(self, name):
+    def test_deep_shrink_skips_most_cycles(self, name, monkeypatch):
         """Throttle-dominated (scalarprod, backprop) and latency-bound
         (lud) kernels at a deep shrink spend most cycles dead: the skip
         engine must jump over at least half of them instead of silently
         degenerating into the per-cycle path."""
-        stats = _simulate(name, "shrink", fraction=0.15,
-                          cycle_skip=True).stats
+        monkeypatch.setenv("REPRO_CYCLE_SKIP", "1")
+        stats = _simulate(name, "shrink", fraction=0.15).stats
         assert stats.skipped_cycles >= stats.cycles / 2
         assert stats.ticks_executed + stats.skipped_cycles == stats.cycles
 
-    def test_per_cycle_path_skips_nothing(self):
-        result = _simulate("matrixmul", "shrink", cycle_skip=False)
+    def test_per_cycle_path_skips_nothing(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CYCLE_SKIP", "0")
+        result = _simulate("matrixmul", "shrink")
         assert result.stats.skipped_cycles == 0
         assert result.stats.ticks_executed == result.stats.cycles
 
 
 class TestPlumbing:
-    def _gpu(self, cycle_skip=None):
+    def _gpu(self):
         workload = get_workload("matrixmul", scale=0.5)
         return GPU(
             GPUConfig.baseline(), workload.kernel.clone(), workload.launch,
-            mode="baseline", max_ctas_per_sm_sim=1, cycle_skip=cycle_skip,
+            mode="baseline", max_ctas_per_sm_sim=1,
         )
 
     def test_env_flag_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CYCLE_SKIP", "0")
-        assert self._gpu().core.cycle_skip is False
+        for off in ("0", "no"):
+            monkeypatch.setenv("REPRO_CYCLE_SKIP", off)
+            assert self._gpu().core.cycle_skip is False
+            # Result-cache keys name the engine the core runs.
+            assert engine_fingerprint()[-1] is False
         monkeypatch.delenv("REPRO_CYCLE_SKIP")
         assert self._gpu().core.cycle_skip is True  # default on
-
-    def test_explicit_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CYCLE_SKIP", "1")
-        assert self._gpu(cycle_skip=False).core.cycle_skip is False

@@ -86,6 +86,7 @@ VARIANTS = {
         dict(config=GPUConfig.renamed(bank_preserving_renaming=False)),
     ),
     "compiled-redefine": ("redefine", dict(compiled=True)),
+    "traced-redefine": ("redefine", dict(trace_warp_slots=(0, 1))),
     "compiled-baseline": ("baseline", dict(compiled=True)),
     "gto-baseline": (
         "baseline", dict(config=GPUConfig.baseline(scheduler_policy="gto"))
@@ -107,6 +108,15 @@ SHRINK_VARIANTS = {
     ),
     "shrink0.3-nospill-flags": (
         "flags", dict(config=GPUConfig.shrunk(0.3), spill_enabled=False)
+    ),
+    "shrink0.3-least-occupied-flags": (
+        "flags",
+        dict(config=GPUConfig.shrunk(0.3, bank_preserving_renaming=False)),
+    ),
+    "shrink0.3-traced-least-occupied-redefine": (
+        "redefine",
+        dict(config=GPUConfig.shrunk(0.3, bank_preserving_renaming=False),
+             trace_warp_slots=(0, 1)),
     ),
 }
 SHRINK_WORKLOADS = ("scalarprod", "backprop")

@@ -22,11 +22,10 @@ from repro.analysis.runners import (
     spec_fingerprint,
 )
 from repro.arch import GPUConfig
-from repro.cache import ResultCache, configure_cache, swap_cache
+from repro.cache import ResultCache, configure_cache, resolve_jobs, swap_cache
 from repro.experiments.planner import collect_plan, execute_plan
 from repro.experiments.registry import EXPERIMENTS, get_flows
 from repro.experiments.runner import main as runner_main
-from repro.experiments.runner import resolve_jobs
 from repro.workloads.suite import get_workload
 
 

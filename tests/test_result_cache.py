@@ -54,7 +54,7 @@ def _sim_key(kernel, launch, config, **overrides):
         mode="baseline", threshold=0,
         max_ctas_per_sm_sim=None, sample_interval=0,
         trace_warp_slots=(), spill_enabled=True,
-        max_cycles=50_000_000, cycle_skip=None,
+        max_cycles=50_000_000,
     )
     kwargs.update(overrides)
     return simulate_key(kernel, launch, config, **kwargs)
@@ -139,11 +139,6 @@ class TestFingerprint:
             monkeypatch.setenv("REPRO_CYCLE_SKIP", skip)
             keys.add(_sim_key(straight_kernel, small_launch, config))
         assert len(keys) == 4
-        # An explicit cycle_skip kwarg wins over the environment.
-        monkeypatch.setenv("REPRO_CYCLE_SKIP", "0")
-        assert _sim_key(
-            straight_kernel, small_launch, config, cycle_skip=True
-        ) != _sim_key(straight_kernel, small_launch, config)
 
     def test_schema_version_bump_invalidates(
         self, straight_kernel, small_launch, monkeypatch

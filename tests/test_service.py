@@ -961,16 +961,39 @@ class TestPlannerRequests:
 
 
 class TestRunnerCLI:
-    def test_serve_flag_conflicts(self):
+    def test_usage_errors(self, capsys):
         from repro.experiments import runner
 
-        with pytest.raises(SystemExit):
-            runner.main(["--serve", "x.sock", "--submit", "y.sock"])
-        with pytest.raises(SystemExit):
-            runner.main(["--serve", "x.sock", "fig10"])
-        with pytest.raises(SystemExit):
-            runner.main(["--serve", "x.sock", "--no-cache"])
-        with pytest.raises(SystemExit):
-            runner.main(["--submit", "y.sock", "--no-cache"])
-        with pytest.raises(SystemExit):
-            runner.main(["--submit", "y.sock", "--profile"])
+        for argv in (
+            ["--submit", "y.sock", "--no-cache"],
+            ["--submit", "y.sock", "--profile"],
+            # The daemon CLI serves; the runner only submits.
+            ["--serve", "x.sock", "--no-cache"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                runner.main(argv)
+            assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --serve" in capsys.readouterr().err
+
+
+class TestDaemonCLI:
+    def test_negative_jobs_is_a_usage_error(self, tmp_path):
+        """``--jobs -1`` exits 2 before binding its socket. A daemon
+        that accepted it would serve until killed, hence the subprocess
+        and the timeout."""
+        address = tmp_path / "d.sock"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.service.daemon", "--jobs", "-1",
+             "--socket", str(address), "--cache-dir", str(tmp_path / "c")],
+            env=dict(os.environ), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, start_new_session=True,
+        )
+        try:
+            _, err = process.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("the daemon served with --jobs -1")
+        assert process.returncode == 2
+        assert b"jobs must be >= 0" in err
+        assert not address.exists()

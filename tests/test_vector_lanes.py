@@ -35,6 +35,7 @@ from repro.isa import CmpOp, KernelBuilder, Special
 from repro.launch import LaunchConfig
 from repro.sim.core import SMCore
 from repro.sim.gpu import GPU
+from repro.sim.renaming import RenamingTable
 from repro.sim.warp import VectorWarp, Warp
 from repro.workloads.suite import get_workload
 
@@ -352,7 +353,9 @@ class TestPlumbing:
         """Every register mode, traced or with a register file cache,
         issues through the class's own frame and rotation tick: nothing
         is bound on the instance, so the core holds no reference to
-        itself."""
+        itself. Every renaming setup, redefine and traced ones too,
+        maps and reads its registers in the frame, never through the
+        renaming table's own accessors."""
         monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
         core = self._core(label)
         assert core._try_issue.__func__ is SMCore._try_issue
@@ -360,8 +363,21 @@ class TestPlumbing:
         assert "_try_issue" not in vars(core)
         assert "tick" not in vars(core)
         assert not core._generic_tick
-        # Only the paper's configuration inlines the renaming table.
-        assert core._inline_renaming is (label == "flags")
+
+        def outside_the_frame(*args, **kwargs):
+            raise AssertionError("the frame called the renaming table")
+
+        monkeypatch.setattr(RenamingTable, "write", outside_the_frame)
+        monkeypatch.setattr(RenamingTable, "read", outside_the_frame)
+        core.cta_queue = [0]
+        while core.cycle < 2000:
+            core.tick()
+        assert core.stats.instructions > 0
+        if core.renaming is not None:
+            assert core.stats.renaming_writes > 0
+        events = {event for *_, event in core.stats.lifetime_events}
+        assert events == ({"def", "release"} if label == "traced-flags"
+                          else set())
 
     def test_env_flag_selects_engine(self, monkeypatch):
         """``REPRO_DECODE_CACHE=0`` sends every register mode through
